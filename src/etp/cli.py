@@ -5,10 +5,11 @@ test metrics), ``predict`` (write predictions JSONL), ``eval`` (metric
 battery for a run or an external predictions file), and ``sweep``
 (train/evaluate across a lambda grid and select the best point).
 
-Every command accepts ``--config FILE`` with flat ``key = value`` lines;
-explicit command-line flags override file values. Training commands
-persist their resolved configuration into the run directory before any
-work starts, so a run is reproducible from its artifacts alone.
+The training commands, ``train`` and ``sweep``, accept ``--config FILE``
+with flat ``key = value`` lines; explicit command-line flags override
+file values. They persist their resolved configuration into the run
+directory before any work starts, so a run is reproducible from its
+artifacts alone.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import metrics, pipeline
 from .data import (
@@ -145,9 +145,9 @@ def _run_one(data_dir, run_dir, cfg: TrainConfig):
     test_report = None
     if dataset.splits.get("test"):
         test_instances = dataset.splits["test"]
-        test_report = pipeline.evaluate(state, test_instances)
         results = pipeline.infer_many(state, test_instances)
-        pipeline.write_predictions(run_dir / "predictions.jsonl", state, test_instances, results)
+        test_report = pipeline.score_results(state, test_instances, results)
+        pipeline.write_predictions(run_dir / "predictions.jsonl", state, results)
     pipeline.save_run(run_dir, state, test_report)
     (run_dir / "val_metrics.json").write_text(val_report.to_json(), encoding="utf-8")
     return state, val_report, test_report
@@ -185,7 +185,7 @@ def cmd_predict(args) -> int:
     state = pipeline.load_run(args.run)
     instances = _load_eval_instances(args.data, state.label_map)
     results = pipeline.infer_many(state, instances)
-    pipeline.write_predictions(args.out, state, instances, results)
+    pipeline.write_predictions(args.out, state, results)
     logger.info("wrote %d predictions to %s", len(results), args.out)
     return 0
 
@@ -215,46 +215,9 @@ def _score_predictions(instances, preds: dict, label_map, state=None) -> metrics
     missing = [inst.uid for inst in instances if inst.uid not in preds]
     if missing:
         raise DataError(f"predictions file lacks ids: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    gold_labels = np.array([inst.label for inst in instances])
-    gold_masks = [np.asarray(inst.rationale_mask) for inst in instances]
-    gold_spans = [inst.rationale_spans for inst in instances]
-    pred_masks = []
-    pred_spans = []
-    pred_scores = []
-    pred_labels = []
-    for inst in instances:
-        obj = preds[inst.uid]
-        mask = np.asarray(obj["rationale"], dtype=np.int8)
-        if mask.shape != (len(inst.document),):
-            raise DataError(f"prediction {inst.uid}: rationale length mismatch")
-        pred_masks.append(mask)
-        pred_spans.append(
-            [tuple(s) for s in obj.get("spans", metrics.mask_to_spans(mask))]
-        )
-        scores = obj.get("scores")
-        pred_scores.append(
-            np.asarray(scores, dtype=np.float64) if scores is not None else mask.astype(np.float64)
-        )
-        raw = obj.get("label")
-        pred_labels.append(label_map[str(raw)] if raw is not None else 0)
-    prf = metrics.token_prf_dataset(pred_masks, gold_masks)
-    comp_mean = suff_mean = None
-    if state is not None:
-        comp, suff = pipeline.faithfulness(state, instances, pred_masks)
-        comp_mean, suff_mean = float(comp.mean()), float(suff.mean())
-    return metrics.MetricsReport(
-        macro_f1=metrics.macro_f1(np.array(pred_labels), gold_labels, len(label_map)),
-        token_precision=prf["precision"],
-        token_recall=prf["recall"],
-        token_f1=prf["f1"],
-        token_f1_micro=prf["micro_f1"],
-        iou_f1=metrics.iou_f1_dataset(pred_spans, gold_spans),
-        auprc=metrics.auprc_dataset(pred_scores, gold_masks),
-        comprehensiveness=comp_mean,
-        sufficiency=suff_mean,
-        statistics=metrics.explanation_statistics(pred_spans, gold_spans),
-        n_instances=len(instances),
-    )
+    faith = None if state is None else partial(pipeline.faithfulness, state, instances)
+    records = [preds[inst.uid] for inst in instances]
+    return pipeline.score_report(instances, records, label_map, faith)
 
 
 def cmd_eval(args) -> int:
@@ -390,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic planted-rationale dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--n", type=int, default=2000, help="training instances")
     p.add_argument("--n-val", type=int, default=None)
     p.add_argument("--n-test", type=int, default=None)
@@ -416,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="metric battery for a run and/or predictions file")
@@ -424,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--predictions", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train across a lambda grid and select the best")

@@ -456,15 +456,6 @@ class Batch:
     def seq_len(self) -> int:
         return self.ids.shape[1]
 
-    @property
-    def step_mask(self) -> np.ndarray:
-        """(T, B) padding flags for the recurrent layers."""
-        return self.pad_mask.T
-
-    def flat_ids(self) -> np.ndarray:
-        """Token ids in time-major order (row t*B + b)."""
-        return self.ids.T.reshape(-1)
-
 
 def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str):
     prefix: list[str] = []

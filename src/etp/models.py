@@ -35,7 +35,6 @@ __all__ = [
     "pool_subtokens",
     "decode_spans",
     "mask_input",
-    "start_attention",
     "word_spans_to_subtokens",
     "subtoken_spans_to_words",
     "save_checkpoint",
@@ -100,7 +99,6 @@ class SpanForward:
     p_start: Tensor
     p_end: list[Tensor]
     valid: np.ndarray
-    internals: dict | None = None
 
     def start_numpy(self, b: int) -> np.ndarray:
         length = self.valid[:, b].sum()
@@ -320,7 +318,6 @@ class ExplainerModel(_EncoderClassifier):
         enc: EncoderOutput,
         doc_start: np.ndarray,
         doc_sublen: np.ndarray,
-        return_internals: bool = False,
     ) -> SpanForward:
         """Start probabilities and start-conditioned end distributions.
 
@@ -376,22 +373,7 @@ class ExplainerModel(_EncoderClassifier):
             c_b = ad.take_rows(readout, rows_b)
             logits = ad.matmul(head["end_w"], ad.transpose(c_b))
             p_end.append(ad.softmax(logits, mask=tri, axis=-1))
-        internals = None
-        if return_internals:
-            internals = {"m1": m1, "m1_tilde": m1_tilde, "m2": m2, "attention": attn}
-        return SpanForward(p_start=p_start, p_end=p_end, valid=valid, internals=internals)
-
-
-def start_attention(m1: np.ndarray, p_start: np.ndarray) -> np.ndarray:
-    """Reference form of the span head's start-weighted mixing step.
-
-    Each row of ``m1`` is gated elementwise by the start-probability-
-    weighted sum of all rows; a one-hot ``p_start`` at j reduces row i
-    to m1[i] * m1[j].
-    """
-    m1 = np.asarray(m1, dtype=np.float64)
-    p = np.asarray(p_start, dtype=np.float64).reshape(-1, 1)
-    return m1 * (p * m1).sum(axis=0, keepdims=True)
+        return SpanForward(p_start=p_start, p_end=p_end, valid=valid)
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,15 @@ class Adam:
         }
 
     def step(self) -> None:
-        self.t += 1
+        """Update every parameter, or none: all gradients are checked
+        before the first update."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise OptimizerError(f"parameter {name!r} has no grad buffer")
             if not np.isfinite(p.grad).all():
                 raise OptimizerError(f"non-finite gradient for parameter {name!r}")
+        self.t += 1
+        for name, p in self.params.items():
             m, v = self.state[name]
             adam_step(p.data, p.grad, m, v, self.t, self.lr, self.beta1, self.beta2, self.eps)
 

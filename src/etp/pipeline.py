@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, metrics
 from .autodiff import Tape, Tensor
-from .data import Batch, Dataset, Instance, Vocabulary, batchify, subtokenize
+from .data import Batch, DataError, Dataset, Instance, Vocabulary, batchify, subtokenize
 from .models import (
     ExplainerModel,
     ModelConfig,
@@ -55,7 +55,10 @@ __all__ = [
     "infer",
     "infer_many",
     "faithfulness",
+    "score_report",
+    "score_results",
     "evaluate",
+    "write_predictions",
     "save_run",
     "load_run",
     "dump_flat_config",
@@ -233,69 +236,78 @@ def _exp_loss(model: ExplainerModel, enc, batch: Batch, cfg: TrainConfig) -> Ten
     return ad.mul(total, 1.0 / B)
 
 
-def _predict_labels(model, batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode class predictions over pre-built batches."""
-    all_probs = []
+def _batches(instances, vocab: Vocabulary, cfg: TrainConfig) -> list[Batch]:
+    return batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
+
+
+def _predict_probs(model, batches: list[Batch]) -> np.ndarray:
+    """Eval-mode class probabilities over pre-built batches."""
+    return np.concatenate(
+        [model.predict_task(model.encode(b.ids, b.pad_mask)).data for b in batches], axis=0
+    )
+
+
+@dataclass
+class _Explanation:
+    """The explainer's answers for one document: the auxiliary class and
+    probabilities, and the rationale as word scores, a hard mask and
+    spans. Scores and mask cover the whole document; words dropped by
+    truncation score 0."""
+
+    label: int
+    probs: np.ndarray
+    scores: np.ndarray
+    mask: np.ndarray
+    spans: list[tuple[int, int]]
+
+
+def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> list[_Explanation]:
+    """One eval-mode explainer pass: each batch is encoded once and both
+    heads read that encoding."""
+    out = []
     for batch in batches:
         enc = model.encode(batch.ids, batch.pad_mask)
-        all_probs.append(model.predict_task(enc).data)
-    probs = np.concatenate(all_probs, axis=0)
-    return probs.argmax(axis=1), probs
-
-
-def _explain_batch(model: ExplainerModel, batch: Batch, cfg: TrainConfig):
-    """Eval-mode rationale extraction; per instance word-level
-    (scores, hard mask, spans) over the kept words."""
-    out = []
-    if cfg.head == "token":
-        scores = model.explain_tokens(
-            model.encode(batch.ids, batch.pad_mask), batch.doc_mask
-        ).data
-        for b in range(batch.size):
-            sub = scores[batch.doc_row_index[b], 0]
-            word_scores = pool_subtokens(sub, batch.word_groups[b])
-            hard = (word_scores >= cfg.threshold).astype(np.int8)
-            out.append((word_scores, hard, metrics.mask_to_spans(hard)))
-        return out
-    sf = model.explain_spans(
-        model.encode(batch.ids, batch.pad_mask), batch.doc_start, batch.doc_sublen
-    )
-    for b in range(batch.size):
-        n = int(batch.doc_sublen[b])
-        spans_sub = decode_spans(
-            sf.start_numpy(b), sf.p_end[b].data, threshold=cfg.threshold, length=n
-        )
-        spans_w = subtoken_spans_to_words(spans_sub, batch.word_groups[b])
-        hard = metrics.spans_to_mask(spans_w, batch.word_counts[b])
-        out.append((hard.astype(np.float64), hard, spans_w))
+        probs = model.predict_task(enc).data
+        if cfg.head == "token":
+            sub_scores = model.explain_tokens(enc, batch.doc_mask).data
+        else:
+            sf = model.explain_spans(enc, batch.doc_start, batch.doc_sublen)
+        for b, inst in enumerate(batch.instances):
+            if cfg.head == "token":
+                sub = sub_scores[batch.doc_row_index[b], 0]
+                word_scores = pool_subtokens(sub, batch.word_groups[b])
+                hard = (word_scores >= cfg.threshold).astype(np.int8)
+                spans = metrics.mask_to_spans(hard)
+            else:
+                n = int(batch.doc_sublen[b])
+                spans_sub = decode_spans(
+                    sf.start_numpy(b), sf.p_end[b].data, threshold=cfg.threshold, length=n
+                )
+                spans = subtoken_spans_to_words(spans_sub, batch.word_groups[b])
+                hard = metrics.spans_to_mask(spans, batch.word_counts[b])
+                word_scores = hard.astype(np.float64)
+            mask = np.zeros(len(inst.document), dtype=np.int8)
+            mask[: len(hard)] = hard
+            scores = np.zeros(len(inst.document))
+            scores[: len(word_scores)] = word_scores
+            out.append(_Explanation(int(probs[b].argmax()), probs[b], scores, mask, spans))
     return out
 
 
-def _explain_instances(model, instances, vocab, cfg):
-    results = []
-    for batch in batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode):
-        results.extend(_explain_batch(model, batch, cfg))
-    return results
-
-
-def _gold_word_masks(batches: list[Batch]) -> list[np.ndarray]:
-    out = []
-    for batch in batches:
-        for inst, count in zip(batch.instances, batch.word_counts):
-            out.append(np.asarray(inst.rationale_mask[:count]))
-    return out
-
-
-def _validation_scores(model, batches, cfg, num_classes, with_exp: bool):
+def _validation_scores(model, batches, cfg, num_classes, stage: int):
+    """Validation macro F1, plus token F1 over the kept words in stage 1."""
     gold = np.concatenate([b.labels for b in batches])
-    pred, _ = _predict_labels(model, batches)
-    macro = metrics.macro_f1(pred, gold, num_classes)
-    if not with_exp:
-        return macro, None
-    pred_masks = []
-    for batch in batches:
-        pred_masks.extend(hard for _, hard, _ in _explain_batch(model, batch, cfg))
-    token = metrics.token_prf_dataset(pred_masks, _gold_word_masks(batches))["f1"]
+    if stage == 2:
+        pred = _predict_probs(model, batches).argmax(axis=1)
+        return metrics.macro_f1(pred, gold, num_classes), None
+    explained = _explain(model, batches, cfg)
+    macro = metrics.macro_f1(np.array([e.label for e in explained]), gold, num_classes)
+    counts = [n for b in batches for n in b.word_counts]
+    instances = [inst for b in batches for inst in b.instances]
+    token = metrics.token_prf_dataset(
+        [e.mask[:n] for e, n in zip(explained, counts)],
+        [np.asarray(inst.rationale_mask[:n]) for inst, n in zip(instances, counts)],
+    )["f1"]
     return macro, token
 
 
@@ -312,7 +324,7 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
     opt = Adam(model.parameters(), lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(cfg.seed + 11 + stage)
     dropout_rng = np.random.default_rng(cfg.seed + 23 + stage)
-    val_batches = batchify(val, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
+    val_batches = _batches(val, vocab, cfg)
     history = TrainHistory()
     best_criterion = -np.inf
     best_state = model.state_arrays()
@@ -323,7 +335,7 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
         sums = np.zeros(3)
         count = 0
         diverged = False
-        for batch in batchify(shuffled, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode):
+        for batch in _batches(shuffled, vocab, cfg):
             with Tape() as tape:
                 enc = model.encode(batch.ids, batch.pad_mask)
                 probs = model.predict_task(enc, train=True, dropout_rng=dropout_rng)
@@ -351,7 +363,7 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
             history.diverged = True
             break
         l_task_m, l_exp_m, l_loss_m = (sums / max(count, 1)).tolist()
-        macro, token = _validation_scores(model, val_batches, cfg, num_classes, stage == 1)
+        macro, token = _validation_scores(model, val_batches, cfg, num_classes, stage)
         criterion = macro + token if stage == 1 else macro
         history.epochs.append(
             EpochStats(epoch, l_task_m, l_exp_m, l_loss_m, macro, token)
@@ -388,29 +400,23 @@ def train_explainer(train, val, cfg: TrainConfig, vocab: Vocabulary, num_classes
     return _train_loop(model, train, val, cfg, vocab, num_classes, stage=1)
 
 
-def filter_training_instances(model, instances, vocab: Vocabulary, cfg: TrainConfig):
-    """Keep exactly the instances whose auxiliary prediction matches the
-    gold label. Applies to training data only; callers must never filter
+def filter_training_instances(instances, explanations):
+    """Keep exactly the instances whose auxiliary prediction
+    (``explanations[i].label`` for ``instances[i]``) matches the gold
+    label. Applies to training data only; callers must never filter
     validation or test sets."""
-    batches = batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
-    pred, _ = _predict_labels(model, batches)
-    gold = np.concatenate([b.labels for b in batches])
-    kept = [inst for inst, p, g in zip(instances, pred, gold) if p == g]
+    kept = [inst for inst, e in zip(instances, explanations) if e.label == inst.label]
     if not kept:
         logger.warning("auxiliary filter removed every training instance")
     return kept
 
 
-def build_masked_dataset(model, instances, vocab: Vocabulary, cfg: TrainConfig):
+def build_masked_dataset(instances, masks, wildcard: str):
     """Replace each document with its wildcard-masked hard rationale."""
-    explained = _explain_instances(model, instances, vocab, cfg)
-    masked = []
-    for inst, (_, hard, _) in zip(instances, explained):
-        full_mask = np.zeros(len(inst.document), dtype=np.int8)
-        full_mask[: len(hard)] = hard
-        masked_doc = mask_input(inst.document, full_mask, cfg.wildcard)
-        masked.append(replace(inst, document=masked_doc))
-    return masked
+    return [
+        replace(inst, document=mask_input(inst.document, m, wildcard))
+        for inst, m in zip(instances, masks)
+    ]
 
 
 def train_predictor(masked_train, masked_val, cfg: TrainConfig, vocab: Vocabulary, num_classes: int):
@@ -433,10 +439,14 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
     vocab = _ensure_vocab(dataset.vocab, train, cfg)
     num_classes = dataset.num_classes
     explainer, hist1 = train_explainer(train, val, cfg, vocab, num_classes)
-    kept = filter_training_instances(explainer, train, vocab, cfg)
-    logger.info("auxiliary filter kept %d / %d training instances", len(kept), len(train))
-    masked_train = build_masked_dataset(explainer, kept, vocab, cfg)
-    masked_val = build_masked_dataset(explainer, val, vocab, cfg)
+    train_exp = _explain(explainer, _batches(train, vocab, cfg), cfg)
+    val_exp = _explain(explainer, _batches(val, vocab, cfg), cfg)
+    # masking commutes with the filter: it keeps the label of every document
+    masked_train = filter_training_instances(
+        build_masked_dataset(train, [e.mask for e in train_exp], cfg.wildcard), train_exp
+    )
+    logger.info("auxiliary filter kept %d / %d training instances", len(masked_train), len(train))
+    masked_val = build_masked_dataset(val, [e.mask for e in val_exp], cfg.wildcard)
     predictor, hist2 = train_predictor(masked_train, masked_val, cfg, vocab, num_classes)
     return PipelineState(
         explainer=explainer,
@@ -453,6 +463,13 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
 # inference and evaluation
 
 
+def _predict_masked(state: PipelineState, instances, masks) -> np.ndarray:
+    """Predictor probabilities on the documents with every word outside
+    its mask replaced by the wildcard."""
+    masked = build_masked_dataset(instances, masks, state.cfg.wildcard)
+    return _predict_probs(state.predictor, _batches(masked, state.vocab, state.cfg))
+
+
 def infer_many(state: PipelineState, instances) -> list[InferResult]:
     """Explain, mask, and predict for a list of instances.
 
@@ -461,40 +478,28 @@ def infer_many(state: PipelineState, instances) -> list[InferResult]:
     score vectors cover the full document (words dropped by truncation
     score 0).
     """
-    cfg, vocab = state.cfg, state.vocab
-    explained = _explain_instances(state.explainer, instances, vocab, cfg)
-    full_masks = []
-    full_scores = []
-    spans = []
-    for inst, (word_scores, hard, word_spans) in zip(instances, explained):
-        mask = np.zeros(len(inst.document), dtype=np.int8)
-        mask[: len(hard)] = hard
-        scores = np.zeros(len(inst.document))
-        scores[: len(word_scores)] = word_scores
-        full_masks.append(mask)
-        full_scores.append(scores)
-        spans.append(word_spans)
-    masked = [
-        replace(inst, document=mask_input(inst.document, m, cfg.wildcard))
-        for inst, m in zip(instances, full_masks)
-    ]
-    batches = batchify(masked, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
-    labels, probs = _predict_labels(state.predictor, batches)
+    explained = _explain(state.explainer, _batches(instances, state.vocab, state.cfg), state.cfg)
+    probs = _predict_masked(state, instances, [e.mask for e in explained])
     return [
-        InferResult(
-            uid=inst.uid,
-            label=int(labels[i]),
-            probs=probs[i],
-            rationale_mask=full_masks[i],
-            spans=spans[i],
-            scores=full_scores[i],
-        )
-        for i, inst in enumerate(instances)
+        InferResult(inst.uid, int(p.argmax()), p, e.mask, e.spans, e.scores)
+        for inst, p, e in zip(instances, probs, explained)
     ]
 
 
 def infer(state: PipelineState, instance: Instance) -> InferResult:
     return infer_many(state, [instance])[0]
+
+
+def _faithfulness(state: PipelineState, instances, rationale_masks, p_only: np.ndarray):
+    """Comprehensiveness and sufficiency, given the predictor's
+    probabilities on the rationale-only documents."""
+    p_full = _predict_probs(state.predictor, _batches(instances, state.vocab, state.cfg))
+    p_stripped = _predict_masked(state, instances, [1 - np.asarray(m) for m in rationale_masks])
+    cls = p_full.argmax(axis=1)
+    idx = np.arange(len(instances))
+    comp = p_full[idx, cls] - p_stripped[idx, cls]
+    suff = p_full[idx, cls] - p_only[idx, cls]
+    return comp, suff
 
 
 def faithfulness(state: PipelineState, instances, rationale_masks):
@@ -504,79 +509,105 @@ def faithfulness(state: PipelineState, instances, rationale_masks):
     with a keep-mask closure over the predictor; batching just amortizes
     the three forward passes (full, rationale-stripped, rationale-only).
     """
-    cfg, vocab = state.cfg, state.vocab
-
-    def probs_for(variant):
-        batches = batchify(variant, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
-        return _predict_labels(state.predictor, batches)[1]
-
-    stripped = [
-        replace(inst, document=mask_input(inst.document, 1 - np.asarray(m), cfg.wildcard))
-        for inst, m in zip(instances, rationale_masks)
-    ]
-    only = [
-        replace(inst, document=mask_input(inst.document, np.asarray(m), cfg.wildcard))
-        for inst, m in zip(instances, rationale_masks)
-    ]
-    p_full = probs_for(list(instances))
-    p_stripped = probs_for(stripped)
-    p_only = probs_for(only)
-    cls = p_full.argmax(axis=1)
-    idx = np.arange(len(instances))
-    comp = p_full[idx, cls] - p_stripped[idx, cls]
-    suff = p_full[idx, cls] - p_only[idx, cls]
-    return comp, suff
+    masks = [np.asarray(m) for m in rationale_masks]
+    return _faithfulness(state, instances, masks, _predict_masked(state, instances, masks))
 
 
-def keep_mask_closure(state: PipelineState, instance: Instance):
-    """predict_proba(keep) closure for the per-instance metric functions."""
-    cfg, vocab = state.cfg, state.vocab
-
-    def predict_proba(keep):
-        doc = (
-            instance.document
-            if keep is None
-            else mask_input(instance.document, keep, cfg.wildcard)
-        )
-        batch = batchify(
-            [replace(instance, document=doc)], 1, vocab, cfg.max_len, cfg.subtoken_mode
-        )[0]
-        enc = state.predictor.encode(batch.ids, batch.pad_mask)
-        return state.predictor.predict_task(enc).data[0]
-
-    return predict_proba
+def _prediction_record(state: PipelineState, res: InferResult) -> dict:
+    """One line of a predictions file."""
+    return {
+        "id": res.uid,
+        "label": state.label_name(res.label),
+        "rationale": [int(v) for v in res.rationale_mask],
+        "spans": [[int(s), int(e)] for s, e in res.spans],
+        "scores": [float(v) for v in res.scores],
+    }
 
 
-def evaluate(state: PipelineState, instances, with_faithfulness: bool = True) -> metrics.MetricsReport:
-    """Full metric battery for end-to-end predictions on ``instances``."""
-    if not instances:
-        raise PipelineError("cannot evaluate an empty instance list")
-    results = infer_many(state, instances)
-    gold_labels = np.array([inst.label for inst in instances])
-    pred_labels = np.array([r.label for r in results])
+def score_report(instances, predictions, label_map, faith=None) -> metrics.MetricsReport:
+    """The metric battery over one prediction record per instance.
+
+    A record follows the predictions-file schema: ``label``,
+    ``rationale`` (a 0/1 mask over the document), and optionally
+    ``spans`` (default: the mask's runs) and ``scores`` (default: the
+    mask). ``faith(masks)`` returns comprehensiveness and sufficiency
+    arrays for the predicted masks; without it both are left out. A
+    record that does not fit its instance raises DataError naming it.
+    """
+    labels, masks, spans, scores = [], [], [], []
+    for inst, rec in zip(instances, predictions):
+        n = len(inst.document)
+        raw = rec.get("label")
+        if raw is None:
+            raise DataError(f"prediction {inst.uid}: missing label")
+        if str(raw) not in label_map:
+            raise DataError(f"prediction {inst.uid}: unknown label {raw!r}")
+        labels.append(label_map[str(raw)])
+        mask = np.asarray(rec["rationale"], dtype=np.int8)
+        if mask.shape != (n,):
+            raise DataError(f"prediction {inst.uid}: rationale length mismatch")
+        masks.append(mask)
+        try:
+            raw_spans = rec.get("spans", metrics.mask_to_spans(mask))
+            inst_spans = [(int(s), int(e)) for s, e in raw_spans]
+        except (TypeError, ValueError):
+            raise DataError(f"prediction {inst.uid}: a span is not a [start, end] pair") from None
+        for s, e in inst_spans:
+            if not 0 <= s < e <= n:
+                raise DataError(
+                    f"prediction {inst.uid}: span ({s}, {e}) is empty, inverted "
+                    f"or outside [0, {n}]"
+                )
+        spans.append(inst_spans)
+        raw_scores = rec.get("scores")
+        inst_scores = np.asarray(mask if raw_scores is None else raw_scores, dtype=np.float64)
+        if inst_scores.shape != (n,):
+            raise DataError(f"prediction {inst.uid}: {inst_scores.size} scores for {n} words")
+        scores.append(inst_scores)
     gold_masks = [np.asarray(inst.rationale_mask) for inst in instances]
     gold_spans = [inst.rationale_spans for inst in instances]
-    pred_masks = [r.rationale_mask for r in results]
-    pred_spans = [r.spans for r in results]
-    prf = metrics.token_prf_dataset(pred_masks, gold_masks)
-    comp_mean = suff_mean = None
-    if with_faithfulness:
-        comp, suff = faithfulness(state, instances, pred_masks)
-        comp_mean = float(comp.mean())
-        suff_mean = float(suff.mean())
+    prf = metrics.token_prf_dataset(masks, gold_masks)
+    comp = suff = None
+    if faith is not None:
+        comp_all, suff_all = faith(masks)
+        comp, suff = float(comp_all.mean()), float(suff_all.mean())
     return metrics.MetricsReport(
-        macro_f1=metrics.macro_f1(pred_labels, gold_labels, len(state.label_map)),
+        macro_f1=metrics.macro_f1(
+            np.array(labels), np.array([inst.label for inst in instances]), len(label_map)
+        ),
         token_precision=prf["precision"],
         token_recall=prf["recall"],
         token_f1=prf["f1"],
         token_f1_micro=prf["micro_f1"],
-        iou_f1=metrics.iou_f1_dataset(pred_spans, gold_spans),
-        auprc=metrics.auprc_dataset([r.scores for r in results], gold_masks),
-        comprehensiveness=comp_mean,
-        sufficiency=suff_mean,
-        statistics=metrics.explanation_statistics(pred_spans, gold_spans),
+        iou_f1=metrics.iou_f1_dataset(spans, gold_spans),
+        auprc=metrics.auprc_dataset(scores, gold_masks),
+        comprehensiveness=comp,
+        sufficiency=suff,
+        statistics=metrics.explanation_statistics(spans, gold_spans),
         n_instances=len(instances),
     )
+
+
+def score_results(state: PipelineState, instances, results) -> metrics.MetricsReport:
+    """Full metric battery for ``infer_many(state, instances)``'s results.
+
+    Sufficiency reuses the results' probabilities: they are the
+    predictor's output on the rationale-only documents.
+    """
+    p_only = np.array([r.probs for r in results])
+    return score_report(
+        instances,
+        [_prediction_record(state, r) for r in results],
+        state.label_map,
+        lambda masks: _faithfulness(state, instances, masks, p_only),
+    )
+
+
+def evaluate(state: PipelineState, instances) -> metrics.MetricsReport:
+    """Full metric battery for end-to-end predictions on ``instances``."""
+    if not instances:
+        raise PipelineError("cannot evaluate an empty instance list")
+    return score_results(state, instances, infer_many(state, instances))
 
 
 # ---------------------------------------------------------------------------
@@ -657,17 +688,10 @@ def _write_history_csv(path, history: TrainHistory) -> None:
             )
 
 
-def write_predictions(path, state: PipelineState, instances, results) -> None:
+def write_predictions(path, state: PipelineState, results) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for inst, res in zip(instances, results):
-            obj = {
-                "id": inst.uid,
-                "label": state.label_name(res.label),
-                "rationale": [int(v) for v in res.rationale_mask],
-                "spans": [[int(s), int(e)] for s, e in res.spans],
-                "scores": [float(v) for v in res.scores],
-            }
-            fh.write(json.dumps(obj) + "\n")
+        for res in results:
+            fh.write(json.dumps(_prediction_record(state, res)) + "\n")
 
 
 def save_run(run_dir, state: PipelineState, report: metrics.MetricsReport | None = None) -> None:

@@ -1,12 +1,17 @@
-"""Independent brute-force reference implementations of the metrics.
+"""Independent brute-force reference implementations.
 
 Deliberately naive: explicit loops, token sets instead of interval
-arithmetic, and rankings built by repeated selection. These exist only
-to cross-check the production implementations and must not share code
-with them.
+arithmetic, rankings built by repeated selection, and one forward pass
+per document. These exist only to cross-check the production
+implementations; the metric references share no code with them.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from etp.data import batchify
+from etp.models import mask_input
 
 
 def ref_macro_f1(pred, gold, num_classes):
@@ -121,3 +126,36 @@ def ref_decode_spans(p_start, p_end, threshold, length):
                     best_j, best_v = j, p_end[i][j]
             tokens.update(range(i, best_j + 1))
     return _ref_merge([(t, t + 1) for t in sorted(tokens)])
+
+
+def start_attention(m1, p_start):
+    """Reference form of the span head's start-weighted mixing step.
+
+    Each row of ``m1`` is gated elementwise by the start-probability-
+    weighted sum of all rows; a one-hot ``p_start`` at j reduces row i
+    to m1[i] * m1[j].
+    """
+    m1 = np.asarray(m1, dtype=np.float64)
+    p = np.asarray(p_start, dtype=np.float64).reshape(-1, 1)
+    return m1 * (p * m1).sum(axis=0, keepdims=True)
+
+
+def keep_mask_closure(state, instance):
+    """predict_proba(keep) closure for the per-instance metric functions:
+    one predictor pass over ``instance`` with the words outside ``keep``
+    wildcarded (``keep=None`` keeps every word)."""
+    cfg, vocab = state.cfg, state.vocab
+
+    def predict_proba(keep):
+        doc = (
+            instance.document
+            if keep is None
+            else mask_input(instance.document, keep, cfg.wildcard)
+        )
+        batch = batchify(
+            [replace(instance, document=doc)], 1, vocab, cfg.max_len, cfg.subtoken_mode
+        )[0]
+        enc = state.predictor.encode(batch.ids, batch.pad_mask)
+        return state.predictor.predict_task(enc).data[0]
+
+    return predict_proba

@@ -23,6 +23,7 @@ from etp.data import Dataset, SyntheticSpec, Vocabulary, batchify, generate_synt
 from etp.models import ExplainerModel, ModelConfig, mask_input
 from etp.pipeline import (
     TrainConfig,
+    _explain,
     evaluate,
     faithfulness,
     filter_training_instances,
@@ -436,7 +437,9 @@ class TestCriterion4:
         tcfg = TrainConfig(lam=1.0, seed=5, enc_hidden=8, embed_dim=8, enc_layers=1)
         fresh = ExplainerModel(tcfg.model_config(len(dataset.vocab), 2, 512), seed=5)
         subset = dataset.splits["train"][:64]
-        kept = filter_training_instances(fresh, subset, dataset.vocab, tcfg)
+        kept = filter_training_instances(
+            subset, _explain(fresh, batchify(subset, tcfg.batch_size, dataset.vocab), tcfg)
+        )
         brute = []
         for inst in subset:
             batch = batchify([inst], 1, dataset.vocab, tcfg.max_len)[0]

@@ -260,6 +260,24 @@ class TestAdam:
         with pytest.raises(OptimizerError, match="'p'"):
             opt.step()
 
+    def test_nan_in_last_gradient_leaves_every_parameter_unchanged(self):
+        params = {name: Tensor(np.full(3, 2.0), requires_grad=True) for name in "abc"}
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad[...] = 1.0
+        opt.step()
+        before = {name: (p.data.copy(), *(b.copy() for b in opt.state[name]))
+                  for name, p in params.items()}
+        params["c"].grad[...] = np.nan
+        with pytest.raises(OptimizerError, match="'c'"):
+            opt.step()
+        assert opt.t == 1
+        for name, p in params.items():
+            data, m, v = before[name]
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(opt.state[name][0], m)
+            np.testing.assert_array_equal(opt.state[name][1], v)
+
     def test_state_shape_mismatch(self):
         with pytest.raises(OptimizerError, match="shape"):
             adam_step(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3), 1, 0.1)

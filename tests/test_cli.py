@@ -296,6 +296,76 @@ class TestPredictAndEval:
         assert report["token_f1"] == 0.0
         assert report["comprehensiveness"] == 0.0
 
+    def test_run_predictions_rescored_reproduce_train_metrics(self, tmp_path, run_dir, data_dir):
+        out = tmp_path / "rescored"
+        rc = cli.main(
+            [
+                "eval",
+                "--run",
+                str(run_dir),
+                "--data",
+                str(data_dir / "test.jsonl"),
+                "--predictions",
+                str(run_dir / "predictions.jsonl"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        assert (out / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("label", "no-such-class", "unknown label"),
+            ("label", None, "missing label"),
+            ("scores", [0.5], "scores"),
+            ("spans", [[3, 1]], "span"),
+            ("spans", [[0, 99]], "span"),
+            ("spans", [[None, 2]], "span"),
+        ],
+        ids=[
+            "unknown-label",
+            "missing-label",
+            "scores-length",
+            "inverted-span",
+            "span-past-end",
+            "span-not-a-pair",
+        ],
+    )
+    def test_bad_prediction_is_data_error_naming_id(
+        self, tmp_path, data_dir, caplog, field, value, message
+    ):
+        instances, _ = load_jsonl(data_dir / "test.jsonl")
+        bad_uid = instances[1].uid
+        preds_path = tmp_path / "bad_preds.jsonl"
+        with preds_path.open("w") as fh:
+            for inst in instances:
+                obj = {
+                    "id": inst.uid,
+                    "label": inst.label_raw,
+                    "rationale": [int(v) for v in inst.rationale_mask],
+                }
+                if inst.uid == bad_uid:
+                    obj[field] = value
+                    if value is None:
+                        del obj[field]
+                fh.write(json.dumps(obj) + "\n")
+        rc = cli.main(
+            [
+                "eval",
+                "--data",
+                str(data_dir / "test.jsonl"),
+                "--predictions",
+                str(preds_path),
+                "--out",
+                str(tmp_path / "bad"),
+            ]
+        )
+        assert rc == 1
+        assert f"prediction {bad_uid}: " in caplog.text
+        assert message in caplog.text
+
     def test_missing_run_dir_is_clear_error(self, tmp_path, data_dir):
         rc = cli.main(
             [
@@ -372,6 +442,21 @@ class TestParser:
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--out", "d"],
+            ["predict", "--run", "r", "--data", "d.jsonl", "--out", "p.jsonl"],
+            ["eval", "--data", "d.jsonl", "--out", "e"],
+        ],
+        ids=["gen-data", "predict", "eval"],
+    )
+    def test_config_flag_only_on_training_commands(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(tmp_path / "cfg.txt")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_config_keys_for_other_commands_are_ignored(self, tmp_path, data_dir):
         # a shared config file may carry generator/path keys; train only

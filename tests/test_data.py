@@ -275,7 +275,7 @@ class TestBatchify:
         insts = [self._inst("a", ["x", "y"]), self._inst("b", ["p", "q", "r"])]
         vocab = self._vocab(insts)
         (batch,) = batchify(insts, 2, vocab)
-        flat = batch.flat_ids()
+        flat = batch.ids.T.reshape(-1)
         for b, inst in enumerate(insts):
             rows = batch.doc_row_index[b]
             got = [vocab.decode([flat[r]])[0] for r in rows]

@@ -17,7 +17,6 @@ from etp.models import (
     load_model,
     mask_input,
     pool_subtokens,
-    start_attention,
     subtoken_spans_to_words,
     word_spans_to_subtokens,
 )
@@ -285,7 +284,7 @@ class TestSpanHead:
         for j in range(5):
             p = np.zeros(5)
             p[j] = 1.0
-            np.testing.assert_allclose(start_attention(m1, p), m1 * m1[j], atol=1e-15)
+            np.testing.assert_allclose(ref.start_attention(m1, p), m1 * m1[j], atol=1e-15)
 
     def test_oversized_document_rejected(self):
         model = span_model(seed=20)

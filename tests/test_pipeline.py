@@ -2,17 +2,19 @@
 inference composition, and determinism."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from etp import losses, metrics
+from etp import losses, metrics, pipeline
 from etp.autodiff import Tape
 from etp.data import batchify
-from etp.models import mask_input, pool_subtokens
+from etp.models import _EncoderClassifier, mask_input, pool_subtokens
 from etp.pipeline import (
     PipelineError,
     TrainConfig,
+    _explain,
     build_masked_dataset,
     coerce_config,
     dump_flat_config,
@@ -21,7 +23,6 @@ from etp.pipeline import (
     filter_training_instances,
     infer,
     infer_many,
-    keep_mask_closure,
     load_run,
     parse_flat_config,
     run_pipeline,
@@ -31,6 +32,17 @@ from etp.pipeline import (
 )
 
 from conftest import tiny_dataset, tiny_train_config
+from reference import keep_mask_closure
+
+
+def explain(model, instances, vocab, cfg):
+    batches = batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
+    return _explain(model, batches, cfg)
+
+
+def masked_dataset(model, instances, vocab, cfg):
+    masks = [e.mask for e in explain(model, instances, vocab, cfg)]
+    return build_masked_dataset(instances, masks, cfg.wildcard)
 
 
 class TestTrainConfig:
@@ -124,7 +136,8 @@ class TestFilter:
         )
         model.params["task"]["w2"].data[...] = 0.0
         model.params["task"]["b2"].data[...] = [5.0, -5.0]  # always predict class 0
-        kept = filter_training_instances(model, dataset.splits["train"], dataset.vocab, cfg)
+        train = dataset.splits["train"]
+        kept = filter_training_instances(train, explain(model, train, dataset.vocab, cfg))
         assert kept and all(inst.label == 0 for inst in kept)
 
     def test_matches_brute_force_per_instance_check(self, dataset):
@@ -132,7 +145,8 @@ class TestFilter:
         model, _ = train_explainer(
             dataset.splits["train"][:8], dataset.splits["val"], cfg, dataset.vocab, 2
         )
-        kept = filter_training_instances(model, dataset.splits["train"], dataset.vocab, cfg)
+        train = dataset.splits["train"]
+        kept = filter_training_instances(train, explain(model, train, dataset.vocab, cfg))
         brute = []
         for inst in dataset.splits["train"]:
             batch = batchify([inst], 1, dataset.vocab, cfg.max_len, cfg.subtoken_mode)[0]
@@ -146,7 +160,8 @@ class TestFilter:
         model, _ = train_explainer(
             dataset.splits["train"][:8], dataset.splits["val"], cfg, dataset.vocab, 2
         )
-        kept = filter_training_instances(model, dataset.splits["train"], dataset.vocab, cfg)
+        train = dataset.splits["train"]
+        kept = filter_training_instances(train, explain(model, train, dataset.vocab, cfg))
         train_ids = {inst.uid for inst in dataset.splits["train"]}
         assert {inst.uid for inst in kept} <= train_ids
 
@@ -165,7 +180,7 @@ class TestMaskedDataset:
             t.data[...] = 0.0
         model.params["exp"]["w"].data[...] = 0.0
         model.params["exp"]["b"].data[...] = 0.0  # sigmoid(0) = 0.5 >= threshold
-        masked = build_masked_dataset(model, dataset.splits["val"], dataset.vocab, cfg)
+        masked = masked_dataset(model, dataset.splits["val"], dataset.vocab, cfg)
         for orig, m in zip(dataset.splits["val"], masked):
             assert m.document == orig.document
 
@@ -175,7 +190,7 @@ class TestMaskedDataset:
             t.data[...] = 0.0
         model.params["exp"]["w"].data[...] = 0.0
         model.params["exp"]["b"].data[...] = -12.0
-        masked = build_masked_dataset(model, dataset.splits["val"], dataset.vocab, cfg)
+        masked = masked_dataset(model, dataset.splits["val"], dataset.vocab, cfg)
         for orig, m in zip(dataset.splits["val"], masked):
             assert m.document == [cfg.wildcard] * len(orig.document)
             assert m.query == orig.query
@@ -184,7 +199,7 @@ class TestMaskedDataset:
     def test_matches_manual_explain_threshold_mask_composition(self, dataset):
         model, cfg = self._trained(dataset)
         instances = dataset.splits["val"]
-        masked = build_masked_dataset(model, instances, dataset.vocab, cfg)
+        masked = masked_dataset(model, instances, dataset.vocab, cfg)
         for inst, got in zip(instances, masked):
             batch = batchify([inst], 1, dataset.vocab, cfg.max_len, cfg.subtoken_mode)[0]
             scores = model.explain_tokens(
@@ -337,6 +352,59 @@ class TestEndToEnd:
         model, _ = train_explainer(
             dataset.splits["train"], dataset.splits["val"], cfg, dataset.vocab, 2
         )
-        kept = filter_training_instances(model, dataset.splits["train"], dataset.vocab, cfg)
-        masked = build_masked_dataset(model, kept, dataset.vocab, cfg)
+        train = dataset.splits["train"]
+        explained = explain(model, train, dataset.vocab, cfg)
+        kept = filter_training_instances(train, explained)
+        masked = filter_training_instances(
+            build_masked_dataset(train, [e.mask for e in explained], cfg.wildcard), explained
+        )
         assert [m.uid for m in masked] == [k.uid for k in kept]
+        for k, m in zip(kept, masked):
+            (expected,) = masked_dataset(model, [k], dataset.vocab, cfg)
+            assert m.document == expected.document
+
+
+class TestPassCounts:
+    def test_one_encoder_pass_per_question(self, monkeypatch):
+        """Rows encoded outside a tape: each validation epoch asks each
+        model once, one explainer pass over the training and validation
+        sets answers both the filter and the mask, and evaluate encodes
+        each document four times (explainer, rationale-only, full and
+        rationale-stripped)."""
+        dataset = tiny_dataset(seed=5)
+        epochs = 2
+        n_train, n_val, n_test = (len(dataset.splits[k]) for k in ("train", "val", "test"))
+        rows = Counter()
+        phase = ["run_pipeline"]
+        encode = _EncoderClassifier.encode
+
+        def counting_encode(self, ids, pad_mask):
+            if Tape.current is None:
+                rows[phase[0]] += len(ids)
+            return encode(self, ids, pad_mask)
+
+        def in_phase(name):
+            fn = getattr(pipeline, name)
+
+            def wrapped(*args, **kwargs):
+                phase[0] = name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = "run_pipeline"
+
+            return wrapped
+
+        monkeypatch.setattr(_EncoderClassifier, "encode", counting_encode)
+        for name in ("train_explainer", "train_predictor"):
+            monkeypatch.setattr(pipeline, name, in_phase(name))
+        state = run_pipeline(dataset, tiny_train_config(epochs=epochs, patience=0))
+        assert not (state.stage1.diverged or state.stage2.diverged)
+        assert rows == {
+            "train_explainer": epochs * n_val,
+            "run_pipeline": n_train + n_val,
+            "train_predictor": epochs * n_val,
+        }
+        rows.clear()
+        evaluate(state, dataset.splits["test"])
+        assert rows == {"run_pipeline": 4 * n_test}

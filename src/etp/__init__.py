@@ -7,7 +7,7 @@ metric suite, and generating synthetic planted-rationale tasks for
 fast, deterministic verification.
 """
 
-from .autodiff import Tape, Tensor, forward_op
+from .autodiff import Tape, Tensor
 from .data import Instance, SyntheticSpec, Vocabulary, batchify, generate_synthetic, load_jsonl
 from .losses import LossBreakdown, combined_loss, task_loss, weighted_token_bce
 from .metrics import (
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape",
     "Tensor",
-    "forward_op",
     "Instance",
     "SyntheticSpec",
     "Vocabulary",

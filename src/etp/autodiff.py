@@ -21,7 +21,6 @@ __all__ = [
     "Tape",
     "DimensionError",
     "UsageError",
-    "forward_op",
     "OPS",
     "add",
     "sub",
@@ -39,8 +38,6 @@ __all__ = [
     "dropout",
     "embedding",
     "take_rows",
-    "rows",
-    "cols",
     "transpose",
     "reshape",
     "pick",
@@ -295,10 +292,15 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     return _node(data, tuple(ts), backward, "concat")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function on a plain array."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    e = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _sigmoid(a.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -440,38 +442,6 @@ def take_rows(a, indices) -> Tensor:
     return _gather_rows(a, np.asarray(indices, dtype=np.intp), "take_rows")
 
 
-def rows(a, start: int, stop: int) -> Tensor:
-    """Contiguous row slice a[start:stop]."""
-    a = _as_tensor(a)
-    if not 0 <= start <= stop <= a.shape[0]:
-        raise DimensionError(f"rows: [{start}:{stop}] out of range for shape {a.shape}")
-    shape = a.shape
-
-    def backward(g):
-        buf = np.zeros(shape)
-        buf[start:stop] = g
-        return (buf,)
-
-    return _node(a.data[start:stop], (a,), backward, "rows")
-
-
-def cols(a, start: int, stop: int) -> Tensor:
-    """Contiguous column slice a[:, start:stop] of a matrix."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"cols: expected a matrix, got shape {a.shape}")
-    if not 0 <= start <= stop <= a.shape[1]:
-        raise DimensionError(f"cols: [{start}:{stop}] out of range for shape {a.shape}")
-    shape = a.shape
-
-    def backward(g):
-        buf = np.zeros(shape)
-        buf[:, start:stop] = g
-        return (buf,)
-
-    return _node(a.data[:, start:stop], (a,), backward, "cols")
-
-
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
@@ -534,21 +504,10 @@ OPS: dict[str, Callable] = {
     "dropout": dropout,
     "embedding": embedding,
     "take_rows": take_rows,
-    "rows": rows,
-    "cols": cols,
     "transpose": transpose,
     "reshape": reshape,
     "pick": pick,
 }
-
-
-def forward_op(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an op by registry name (`OPS` holds the callables)."""
-    try:
-        fn = OPS[kind]
-    except KeyError:
-        raise UsageError(f"unknown op kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
 
 
 def finite_difference(f: Callable[[], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:

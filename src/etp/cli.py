@@ -254,7 +254,7 @@ def _sweep_point(payload: dict) -> dict:
     try:
         _, val_report, _ = _run_one(payload["data"], run_dir, cfg)
     except Exception as exc:  # failure of one point must not kill the sweep
-        logger.error("lambda=%g failed: %s", lam, exc)
+        logger.exception("lambda=%g failed: %s", lam, exc)
         return {"lambda": lam, "error": str(exc)}
     exp_metric = val_report.auprc if payload["criterion"] == "auprc" else val_report.token_f1
     return {

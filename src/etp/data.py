@@ -446,7 +446,6 @@ class Batch:
     gold_spans: list[list[tuple[int, int]]]
     word_counts: list[int]
     instances: list[Instance]
-    truncated: list[bool]
 
     @property
     def size(self) -> int:
@@ -474,7 +473,6 @@ def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str)
             break
         used += len(subs)
         kept_words += 1
-    truncated = kept_words < len(inst.document)
     if kept_words == 0:
         raise DataError(f"instance {inst.uid}: first document word does not fit the budget")
     groups = []
@@ -485,7 +483,7 @@ def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str)
     spans = [
         (s, min(e, kept_words)) for s, e in inst.rationale_spans if s < kept_words
     ]
-    return prefix, doc_sub, groups, spans, kept_words, truncated
+    return prefix, doc_sub, groups, spans, kept_words
 
 
 def batchify(
@@ -509,8 +507,8 @@ def batchify(
         doc_mask = np.zeros((bsz, seq_len))
         doc_start = np.zeros(bsz, dtype=np.int64)
         doc_sublen = np.zeros(bsz, dtype=np.int64)
-        doc_rows, doc_targets, all_groups, all_spans, counts, trunc = [], [], [], [], [], []
-        for b, (inst, (prefix, doc_sub, groups, spans, kept, truncated)) in enumerate(
+        doc_rows, doc_targets, all_groups, all_spans, counts = [], [], [], [], []
+        for b, (inst, (prefix, doc_sub, groups, spans, kept)) in enumerate(
             zip(chunk, layouts)
         ):
             seq = prefix + doc_sub
@@ -529,7 +527,6 @@ def batchify(
             all_groups.append(groups)
             all_spans.append(spans)
             counts.append(kept)
-            trunc.append(truncated)
         batches.append(
             Batch(
                 ids=ids,
@@ -544,7 +541,6 @@ def batchify(
                 gold_spans=all_spans,
                 word_counts=counts,
                 instances=list(chunk),
-                truncated=trunc,
             )
         )
     return batches

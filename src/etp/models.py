@@ -111,6 +111,14 @@ def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
     return rng.uniform(-k, k, (fan_in, fan_out))
 
 
+def _per_instance_rows(w: np.ndarray) -> np.ndarray:
+    """The (B, T*B) matrix whose row b weights the time-major rows of
+    instance b by ``w[b]``, a (B, T) array; as a left factor it reduces
+    a (T*B, d) block to one (B, d) row per instance."""
+    B, T = w.shape
+    return (np.eye(B)[:, None, :] * w[:, :, None]).reshape(B, T * B)
+
+
 def _flatten(tree, prefix: str = "", out=None) -> dict[str, Tensor]:
     if out is None:
         out = {}
@@ -157,9 +165,6 @@ class _EncoderClassifier:
     def parameters(self) -> dict[str, Tensor]:
         return _flatten(self.params)
 
-    def encoder_parameters(self) -> dict[str, Tensor]:
-        return _flatten(self.params["enc"], "enc.")
-
     def zero_grad(self) -> None:
         for p in self.parameters().values():
             p.zero_grad()
@@ -205,10 +210,7 @@ class _EncoderClassifier:
         lengths = pad_mask.sum(axis=1)
         if (lengths == 0).any():
             raise ad.DimensionError("encode: a batch row has no unpadded token")
-        pool = np.zeros((B, T * B))
-        for b in range(B):
-            pool[b, np.arange(T) * B + b] = pad_mask[b] / lengths[b]
-        pooled = ad.matmul(Tensor(pool), x)
+        pooled = ad.matmul(Tensor(_per_instance_rows(pad_mask / lengths[:, None])), x)
         return EncoderOutput(token_reps=x, pooled=pooled, seq_len=T, batch=B, pad_mask=pad_mask)
 
     def predict_task(
@@ -281,12 +283,6 @@ class ExplainerModel(_EncoderClassifier):
         else:
             raise ValueError(f"explainer cannot be built with head={cfg.head!r}")
 
-    def exp_head_parameters(self) -> dict[str, Tensor]:
-        return _flatten(self.params["exp"], "exp.")
-
-    def task_head_parameters(self) -> dict[str, Tensor]:
-        return _flatten(self.params["task"], "task.")
-
     def explain_tokens(self, enc: EncoderOutput, doc_mask: np.ndarray) -> Tensor:
         """Per-position rationale probabilities, (T*B, 1) time-major.
 
@@ -356,10 +352,7 @@ class ExplainerModel(_EncoderClassifier):
         # attention over start probabilities, summed within each instance
         weighted = ad.mul(m1, ad.reshape(p_start, (L * B, 1)))
         weighted = ad.mul(weighted, valid.reshape(-1, 1))
-        seg = np.zeros((B, L * B))
-        for b in range(B):
-            seg[b, np.arange(L) * B + b] = 1.0
-        attn = ad.matmul(Tensor(seg), weighted)
+        attn = ad.matmul(Tensor(_per_instance_rows(np.ones((B, L)))), weighted)
         m1_tilde = ad.mul(m1, ad.take_rows(attn, np.tile(np.arange(B), L)))
 
         m2_in = ad.concat([passage, m1, m1_tilde, ad.mul(m1, m1_tilde)], axis=1)

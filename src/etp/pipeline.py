@@ -271,7 +271,11 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
         if cfg.head == "token":
             sub_scores = model.explain_tokens(enc, batch.doc_mask).data
         else:
-            sf = model.explain_spans(enc, batch.doc_start, batch.doc_sublen)
+            # the span head is as long as the longest train or val document;
+            # it reads a longer document up to that length, and the words
+            # past it score 0 like words dropped by max_len truncation
+            head_len = np.minimum(batch.doc_sublen, model.cfg.span_len)
+            sf = model.explain_spans(enc, batch.doc_start, head_len)
         for b, inst in enumerate(batch.instances):
             if cfg.head == "token":
                 sub = sub_scores[batch.doc_row_index[b], 0]
@@ -279,9 +283,9 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
                 hard = (word_scores >= cfg.threshold).astype(np.int8)
                 spans = metrics.mask_to_spans(hard)
             else:
-                n = int(batch.doc_sublen[b])
                 spans_sub = decode_spans(
-                    sf.start_numpy(b), sf.p_end[b].data, threshold=cfg.threshold, length=n
+                    sf.start_numpy(b), sf.p_end[b].data, threshold=cfg.threshold,
+                    length=int(head_len[b]),
                 )
                 spans = subtoken_spans_to_words(spans_sub, batch.word_groups[b])
                 hard = metrics.spans_to_mask(spans, batch.word_counts[b])

@@ -1,4 +1,4 @@
-"""GRU cell and recurrent layers on top of the autodiff core.
+"""GRU recurrent layers on top of the autodiff core.
 
 Sequences are laid out time-major: a batch of B sequences of length T
 lives in a (T*B, dim) matrix whose row t*B + b is token t of sequence b.
@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["init_gru", "gru_cell", "gru_sequence", "bigru", "init_bigru"]
+__all__ = ["init_gru", "gru_run", "gru_sequence", "bigru", "init_bigru"]
 
 
 def init_gru(rng: np.random.Generator, input_dim: int, hidden: int) -> dict[str, Tensor]:
@@ -32,66 +32,34 @@ def init_gru(rng: np.random.Generator, input_dim: int, hidden: int) -> dict[str,
     }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _step(xs: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_c: np.ndarray):
+    """One GRU state update on plain arrays: (B, 3H), (B, H) -> (B, H).
 
-
-def gru_step(x_proj: Tensor, h: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
-    """One whole GRU state update as a single fused op.
-
-    ``x_proj`` is the precomputed input projection x @ w_x + b (B, 3H)
-    holding the stacked update/reset/candidate contributions. The new
-    state is (1-z)*h + z*candidate: the update gate weights the fresh
-    candidate, so zero weights leave a zero state fixed. Fusing the
-    dozen-odd pointwise/gating ops into one node keeps tapes for long
-    sequences small; the hand-written backward rule is covered by the
-    finite-difference suite like every other op.
+    ``xs`` is the input projection x @ w_x + b holding the stacked
+    update/reset/candidate contributions. The new state is
+    (1-z)*h + z*candidate: the update gate weights the fresh candidate,
+    so zero weights leave a zero state fixed. Returns the new state and
+    the values :func:`_step_backward` needs.
     """
-    x_proj, h = ad._as_tensor(x_proj), ad._as_tensor(h)
-    u_zr, u_c = ad._as_tensor(u_zr), ad._as_tensor(u_c)
-    hidden = h.shape[-1]
-    if x_proj.shape != (h.shape[0], 3 * hidden) or u_zr.shape != (hidden, 2 * hidden):
-        raise ad.DimensionError(
-            f"gru_step: x_proj {x_proj.shape}, h {h.shape}, u_zr {u_zr.shape} do not conform"
-        )
-    xp, hv = x_proj.data, h.data
-    hu = hv @ u_zr.data
-    z = _sigmoid(xp[:, :hidden] + hu[:, :hidden])
-    r = _sigmoid(xp[:, hidden : 2 * hidden] + hu[:, hidden : 2 * hidden])
-    rh = r * hv
-    c = np.tanh(xp[:, 2 * hidden :] + rh @ u_c.data)
-    out = (1.0 - z) * hv + z * c
-
-    def backward(g):
-        gc = g * z * (1.0 - c * c)
-        d_rh = gc @ u_c.data.T
-        gr = d_rh * hv * r * (1.0 - r)
-        gz = g * (c - hv) * z * (1.0 - z)
-        dhu = np.concatenate([gz, gr], axis=1)
-        dh = g * (1.0 - z) + d_rh * r + dhu @ u_zr.data.T
-        dxp = np.concatenate([gz, gr, gc], axis=1)
-        return dxp, dh, hv.T @ dhu, rh.T @ gc
-
-    return ad._node(out, (x_proj, h, u_zr, u_c), backward, "gru_step")
+    hidden = h.shape[1]
+    zr = ad._sigmoid(xs[:, : 2 * hidden] + h @ u_zr)
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    rh = r * h
+    c = np.tanh(xs[:, 2 * hidden :] + rh @ u_c)
+    return (1.0 - z) * h + z * c, (z, r, c, rh, h)
 
 
-ad.OPS["gru_step"] = gru_step
-
-
-def _gates(xs: Tensor, h: Tensor, w: dict[str, Tensor], hidden: int) -> Tensor:
-    return gru_step(xs, h, w["u_zr"], w["u_c"])
-
-
-def gru_cell(x: Tensor, h: Tensor, w: dict[str, Tensor]) -> Tensor:
-    """One GRU step: (B, in), (B, H) -> (B, H)."""
-    hidden = h.shape[-1]
-    if x.shape[-1] != w["w_x"].shape[0] or 3 * hidden != w["w_x"].shape[1]:
-        raise ad.DimensionError(
-            f"gru_cell: x {x.shape}, h {h.shape} do not match weights {w['w_x'].shape}"
-        )
-    xs = ad.add(ad.matmul(x, w["w_x"]), w["b"])
-    return _gates(xs, h, w, hidden)
+def _step_backward(g: np.ndarray, saved: tuple, u_zr: np.ndarray, u_c: np.ndarray):
+    """Gradients of one :func:`_step` given the gradient ``g`` of its new
+    state: returns (d xs, d h, d u_zr, d u_c)."""
+    z, r, c, rh, h = saved
+    gc = g * z * (1.0 - c * c)
+    d_rh = gc @ u_c.T
+    gr = d_rh * h * r * (1.0 - r)
+    gz = g * (c - h) * z * (1.0 - z)
+    dhu = np.concatenate([gz, gr], axis=1)
+    dh = g * (1.0 - z) + d_rh * r + dhu @ u_zr.T
+    return np.concatenate([dhu, gc], axis=1), dh, h.T @ dhu, rh.T @ gc
 
 
 def gru_run(
@@ -129,57 +97,33 @@ def gru_run(
     h = np.zeros((batch, hidden))
     out = np.empty((seq_len * batch, hidden))
     saved: list[tuple] = [()] * seq_len
+    masks: list[np.ndarray | None] = [None] * seq_len
     for t in order:
-        xs = xp[t * batch : (t + 1) * batch]
-        hu = h @ uzr
-        z = _sigmoid(xs[:, :hidden] + hu[:, :hidden])
-        r = _sigmoid(xs[:, hidden : 2 * hidden] + hu[:, hidden : 2 * hidden])
-        rh = r * h
-        c = np.tanh(xs[:, 2 * hidden :] + rh @ uc)
-        h_new = (1.0 - z) * h + z * c
+        rows = slice(t * batch, (t + 1) * batch)
+        h_new, saved[t] = _step(xp[rows], h, uzr, uc)
         if step_mask is not None and not step_mask[t].all():
-            m = step_mask[t][:, None]
-            h_next = m * h_new + (1.0 - m) * h
+            m = masks[t] = step_mask[t][:, None]
+            h = m * h_new + (1.0 - m) * h
         else:
-            m = None
-            h_next = h_new
-        saved[t] = (z, r, c, rh, h, m)
-        h = h_next
-        out[t * batch : (t + 1) * batch] = h
+            h = h_new
+        out[rows] = h
 
     def backward(g):
-        dxs = np.zeros_like(xp)
+        dxs = np.empty_like(xp)
         du_zr = np.zeros_like(uzr)
         du_c = np.zeros_like(uc)
         dh_carry = np.zeros((batch, hidden))
-        for t in reversed(list(order)):
-            z, r, c, h_prev, rh_t, m = (
-                saved[t][0],
-                saved[t][1],
-                saved[t][2],
-                saved[t][4],
-                saved[t][3],
-                saved[t][5],
+        for t in reversed(order):
+            rows = slice(t * batch, (t + 1) * batch)
+            g_t = g[rows] + dh_carry
+            m = masks[t]
+            dxs[rows], dh, du_zr_t, du_c_t = _step_backward(
+                g_t if m is None else g_t * m, saved[t], uzr, uc
             )
-            g_t = g[t * batch : (t + 1) * batch] + dh_carry
-            if m is not None:
-                dh_new = g_t * m
-                dh_prev_direct = g_t * (1.0 - m)
-            else:
-                dh_new = g_t
-                dh_prev_direct = 0.0
-            gc = dh_new * z * (1.0 - c * c)
-            d_rh = gc @ uc.T
-            gr = d_rh * h_prev * r * (1.0 - r)
-            gz = dh_new * (c - h_prev) * z * (1.0 - z)
-            dhu = np.concatenate([gz, gr], axis=1)
-            dh_carry = dh_new * (1.0 - z) + d_rh * r + dhu @ uzr.T + dh_prev_direct
-            block = dxs[t * batch : (t + 1) * batch]
-            block[:, :hidden] = gz
-            block[:, hidden : 2 * hidden] = gr
-            block[:, 2 * hidden :] = gc
-            du_zr += h_prev.T @ dhu
-            du_c += rh_t.T @ gc
+            du_zr += du_zr_t
+            du_c += du_c_t
+            # a masked step passed its input state straight through
+            dh_carry = dh if m is None else dh + g_t * (1.0 - m)
         return dxs, du_zr, du_c
 
     return ad._node(out, (x_proj, u_zr, u_c), backward, "gru_run")

@@ -21,3 +21,9 @@ def fd_check(build_loss, tensors, h=1e-5, rtol=1e-4, atol=1e-8):
     for t, grad in zip(tensors, analytic):
         fd = finite_difference(lambda: build_loss().item(), t.data, h=h)
         np.testing.assert_allclose(grad, fd, rtol=rtol, atol=atol)
+
+
+def param_group(model, prefix):
+    """A model's parameters whose flat names start with ``prefix``
+    (``enc.``, ``exp.`` or ``task.``)."""
+    return {k: p for k, p in model.parameters().items() if k.startswith(prefix)}

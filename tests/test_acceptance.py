@@ -163,13 +163,17 @@ def _per_op_configs(seed: int):
     ids = rng.integers(0, 6, 5)
     pick_r, pick_c = np.arange(4), rng.integers(0, 4, 4)
     drop_seed = int(rng.integers(1 << 30))
-    xp, hh = t(2, 9), t(2, 3)
     u_zr, u_c = t(3, 6), t(3, 3)
-    run_xp = t(8, 9)
+    run_xp, step_xp = t(8, 9), t(2, 9)
     run_mask = np.ones((4, 2))
     run_mask[3, 0] = 0.0
+    fwd_mask = np.ones((4, 2))
+    fwd_mask[2:, 1] = 0.0
     w = {k: Tensor(v.data, requires_grad=True) for k, v in rnn.init_gru(rng, 3, 3).items()}
-    xs = t(2, 3)
+    seq_x = t(8, 3)
+
+    def run(xp, seq_len, mask, reverse):
+        return lambda: ad.tsum(ad.tanh(rnn.gru_run(xp, u_zr, u_c, seq_len, 2, mask, reverse)))
 
     return {
         "add": (lambda: ad.tsum(ad.tanh(ad.add(a34, bias))), [a34, bias]),
@@ -198,17 +202,17 @@ def _per_op_configs(seed: int):
         ),
         "embedding": (lambda: ad.tsum(ad.tanh(ad.embedding(table, ids))), [table]),
         "take_rows": (lambda: ad.tsum(ad.sigmoid(ad.take_rows(table, ids))), [table]),
-        "rows": (lambda: ad.tsum(ad.tanh(ad.rows(a34, 1, 3))), [a34]),
-        "cols": (lambda: ad.tsum(ad.sigmoid(ad.cols(a34, 1, 4))), [a34]),
         "transpose": (lambda: ad.tsum(ad.mul(ad.transpose(m_a), ad.transpose(m_a))), [m_a]),
         "reshape": (lambda: ad.tsum(ad.tanh(ad.reshape(a34, (4, 3)))), [a34]),
         "pick": (lambda: ad.tsum(ad.sigmoid(ad.pick(sq, pick_r, pick_c))), [sq]),
-        "gru_step": (lambda: ad.tsum(ad.sigmoid(rnn.gru_step(xp, hh, u_zr, u_c))), [xp, hh, u_zr, u_c]),
-        "gru_run": (
-            lambda: ad.tsum(ad.tanh(rnn.gru_run(run_xp, u_zr, u_c, 4, 2, run_mask, True))),
-            [run_xp, u_zr, u_c],
+        "gru_run": (run(run_xp, 4, run_mask, True), [run_xp, u_zr, u_c]),
+        "gru_run_fwd": (run(run_xp, 4, None, False), [run_xp, u_zr, u_c]),
+        "gru_run_fwd_masked": (run(run_xp, 4, fwd_mask, False), [run_xp, u_zr, u_c]),
+        "gru_run_one_step": (run(step_xp, 1, None, False), [step_xp, u_zr, u_c]),
+        "gru_sequence": (
+            lambda: ad.tsum(ad.sigmoid(rnn.gru_sequence(seq_x, 4, 2, w, 3, None, True))),
+            [seq_x] + list(w.values()),
         ),
-        "gru_cell": (lambda: ad.tsum(rnn.gru_cell(xs, hh, w)), [xs, hh] + list(w.values())),
     }
 
 
@@ -288,6 +292,11 @@ def _span_graph_config(seed: int):
     return build, list(model.parameters().values())
 
 
+def test_every_registered_op_has_a_gradient_config():
+    missing = sorted(set(ad.OPS) - set(_per_op_configs(0)))
+    assert not missing, f"ops without a finite-difference configuration: {missing}"
+
+
 class TestCriterion1:
     def test_gradient_correctness(self):
         start = time.monotonic()
@@ -299,7 +308,7 @@ class TestCriterion1:
             configs.append((f"span_loss_graph_{seed}", _span_graph_config(seed)))
         failures = [name for name, (build, tensors) in configs if not _fd_config_ok(build, tensors)]
         elapsed = time.monotonic() - start
-        ok = not failures and len(configs) >= 50 and elapsed <= 60.0
+        ok = not failures and len(configs) >= 54 and elapsed <= 60.0
         report(
             1,
             ok,

@@ -3,6 +3,7 @@ contents, and CLI-vs-API agreement."""
 
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,15 @@ class TestSweep:
         selected = json.loads((sweep_out / "selected.json").read_text())
         best = max(rows, key=lambda r: float(r["criterion"]))
         assert selected["lambda"] == float(best["lambda"])
+
+    def test_failed_point_logs_its_traceback(self, tmp_path, caplog):
+        payload = {"cfg": {}, "lam": 1.0, "index": 0, "out": str(tmp_path),
+                   "data": str(tmp_path / "missing"), "criterion": "token_f1"}
+        with caplog.at_level(logging.ERROR, logger="etp.cli"):
+            row = cli._sweep_point(payload)
+        assert row["lambda"] == 1.0 and row["error"]
+        (record,) = [r for r in caplog.records if r.name == "etp.cli"]
+        assert record.exc_info is not None
 
 
 class TestParser:

@@ -250,7 +250,6 @@ class TestBatchify:
         inst = self._inst("a", [f"d{i}" for i in range(10)], query=["q"], spans=[(0, 2)])
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 1, vocab, max_len=6)
-        assert batch.truncated == [True]
         assert batch.seq_len == 6
         assert batch.word_counts == [4]  # q, sep, then 4 document words
         assert batch.ids[0, 0] == vocab.index["q"]

@@ -23,7 +23,7 @@ from etp.models import (
 from etp.optim import Adam
 
 import reference as ref
-from helpers import fd_check
+from helpers import fd_check, param_group
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -302,7 +302,7 @@ class TestSpanHead:
         ds, dl = np.array([0]), np.array([4])
         targets = np.array([1.0, 0, 0, 0])
         spans = [(0, 2)]
-        params = list(model.exp_head_parameters().values())
+        params = list(param_group(model, "exp.").values())
 
         def loss():
             sf = model.explain_spans(model.encode(ids, pad), ds, dl)
@@ -395,7 +395,7 @@ class TestSharedEncoder:
         with Tape() as tape:
             scores = model.explain_tokens(model.encode(ids, pad), pad)
             tape.backward(token_explanation_loss(scores, idx, targets))
-        enc_grads = [p.grad for p in model.encoder_parameters().values()]
+        enc_grads = [p.grad for p in param_group(model, "enc.").values()]
         assert any(np.abs(g).max() > 0 for g in enc_grads)
         before = {k: v.copy() for k, v in model.state_arrays().items() if k.startswith("enc.")}
         opt = Adam(model.parameters(), lr=1e-2)

@@ -32,6 +32,7 @@ from etp.pipeline import (
 )
 
 from conftest import tiny_dataset, tiny_train_config
+from helpers import param_group
 from reference import keep_mask_closure
 
 
@@ -74,12 +75,12 @@ class TestTrainExplainer:
             dataset.splits["train"], dataset.splits["val"], cfg, dataset.vocab, 2
         )
         fresh = type(model)(model.cfg, seed=cfg.seed)
-        for name, p in model.exp_head_parameters().items():
-            np.testing.assert_array_equal(p.data, fresh.exp_head_parameters()[name].data)
+        for name, p in param_group(model, "exp.").items():
+            np.testing.assert_array_equal(p.data, param_group(fresh, "exp.")[name].data)
         # while the task head did move
         moved = [
-            not np.array_equal(p.data, fresh.task_head_parameters()[name].data)
-            for name, p in model.task_head_parameters().items()
+            not np.array_equal(p.data, param_group(fresh, "task.")[name].data)
+            for name, p in param_group(model, "task.").items()
         ]
         assert any(moved)
 
@@ -307,6 +308,21 @@ class TestInference:
             assert single.label == res.label
             np.testing.assert_array_equal(single.rationale_mask, res.rationale_mask)
 
+    def test_span_head_reads_documents_longer_than_its_length(self):
+        dataset = tiny_dataset()
+        st = run_pipeline(dataset, tiny_train_config(head="span", epochs=1))
+        first, second = dataset.splits["test"][:2]
+        doc = first.document + second.document
+        long = dataclasses.replace(
+            first, document=doc, rationale_mask=np.zeros(len(doc)), rationale_spans=[]
+        )
+        span_len = st.explainer.cfg.span_len
+        assert len(doc) > span_len
+        _, res = infer_many(st, [first, long])
+        # words past the head's length are treated like truncated words
+        assert res.rationale_mask.shape == res.scores.shape == (len(doc),)
+        assert not res.rationale_mask[span_len:].any() and not res.scores[span_len:].any()
+        assert all(e <= span_len for _, e in res.spans)
 
 class TestFaithfulnessComposition:
     def test_batched_equals_per_instance_closures(self):

@@ -15,6 +15,7 @@ artifacts alone.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -51,6 +52,7 @@ SWEEP_COLUMNS = [
     "comprehensiveness",
     "sufficiency",
     "criterion",
+    "error",
 ]
 
 
@@ -275,6 +277,8 @@ def cmd_sweep(args) -> int:
     if not grid:
         logger.error("empty lambda grid")
         return 1
+    for lam in grid:
+        replace(cfg, lam=lam).validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_map = parse_flat_config(dump_flat_config(cfg))
@@ -296,14 +300,12 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(p) for p in payloads]
 
     csv_path = out / "sweep.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+        # restval leaves a failed point's metric cells and a scored point's error empty
+        writer = csv.DictWriter(fh, SWEEP_COLUMNS, restval="", lineterminator="\n")
+        writer.writeheader()
         for row in rows:
-            if "error" in row:
-                cells = [repr(row["lambda"])] + [""] * (len(SWEEP_COLUMNS) - 1)
-            else:
-                cells = [repr(row[c]) for c in SWEEP_COLUMNS]
-            fh.write(",".join(cells) + "\n")
+            writer.writerow({c: v if c == "error" else repr(v) for c, v in row.items()})
     scored = [r for r in rows if "error" not in r]
     if not scored:
         logger.error("every sweep point failed")

@@ -191,24 +191,27 @@ def span_start_loss(p_start: Tensor, targets) -> Tensor:
     return _weighted_bce_graph(p, targets, 1.0 - targets)
 
 
-def span_end_loss(p_end: Tensor, spans) -> Tensor:
-    """Sum over gold spans of -ln p(end | start).
+def span_end_loss(p_end: Tensor, doc_spans) -> Tensor:
+    """Sum over every document's gold spans of -ln p(end | start).
 
-    ``spans`` are half-open (start, end) intervals; the conditional
-    probability is read at (start, end - 1) of the row-stochastic
-    end matrix.
+    ``p_end`` stacks one (L, L) row-stochastic end matrix per document,
+    document b in rows b*L ... b*L+L-1; ``doc_spans[b]`` are document
+    b's half-open (start, end) intervals, read at row b*L + start,
+    column end - 1.
     """
-    if not spans:
+    length = p_end.shape[1]
+    if p_end.shape[0] != len(doc_spans) * length:
+        raise ad.DimensionError(f"span_end_loss: {p_end.shape} for {len(doc_spans)} documents")
+    rows, ends = [], []
+    for b, spans in enumerate(doc_spans):
+        for s, e in spans:
+            if not 0 <= s < e <= length:
+                raise ValueError(f"span ({s}, {e}) out of range for length {length}")
+            rows.append(b * length + s)
+            ends.append(e - 1)
+    if not rows:
         return Tensor(0.0)
-    length = p_end.shape[0]
-    starts = []
-    ends = []
-    for s, e in spans:
-        if not 0 <= s < e <= length:
-            raise ValueError(f"span ({s}, {e}) out of range for length {length}")
-        starts.append(s)
-        ends.append(e - 1)
-    picked = ad.pick(p_end, np.array(starts), np.array(ends))
+    picked = ad.pick(p_end, np.array(rows), np.array(ends))
     _count_clamped(picked.data)
     return ad.neg(ad.tsum(ad.log(ad.clip_min(picked, CLAMP))))
 

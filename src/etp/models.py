@@ -89,21 +89,24 @@ class EncoderOutput:
 
 @dataclass
 class SpanForward:
-    """Span-head forward results for one batch.
+    """Span-head forward results for one batch of B instances.
 
-    ``p_start`` is the flat (L*B,) start-probability tensor; ``p_end``
-    holds one (L, L) row-stochastic end matrix per instance. ``valid``
-    marks which (position, instance) slots are real document tokens.
+    ``p_start`` is the flat (L*B,) time-major start-probability tensor.
+    ``p_end`` is one (B*L, L) tensor: rows b*L ... b*L+L-1 hold instance
+    b's row-stochastic end matrix, row i the ends of a span starting at
+    i. ``valid`` marks which (position, instance) slots are real tokens.
     """
 
     p_start: Tensor
-    p_end: list[Tensor]
+    p_end: Tensor
     valid: np.ndarray
 
     def start_numpy(self, b: int) -> np.ndarray:
-        length = self.valid[:, b].sum()
-        B = self.valid.shape[1]
-        return self.p_start.data[np.arange(self.valid.shape[0]) * B + b][: int(length)]
+        return self.p_start.data.reshape(self.valid.shape)[: int(self.valid[:, b].sum()), b]
+
+    def end_numpy(self, b: int) -> np.ndarray:
+        L = self.valid.shape[0]
+        return self.p_end.data[b * L : (b + 1) * L]
 
 
 def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -318,10 +321,11 @@ class ExplainerModel(_EncoderClassifier):
         """Start probabilities and start-conditioned end distributions.
 
         The head runs over each instance's document region, re-packed
-        time-major and zero-padded to the fixed head length. End logits
-        for positions before their start are masked to -inf before the
-        row softmax, so those probabilities are exactly zero and every
-        row still sums to one.
+        time-major and zero-padded to the fixed head length L, as one
+        graph for the whole batch; ``p_end`` stacks the B end matrices
+        (see :class:`SpanForward`). End logits before their start are
+        masked to -inf before the softmax, so those probabilities are
+        exactly zero and every row still sums to one.
         """
         if self.cfg.head != "span":
             raise ad.UsageError("explain_spans requires the span head variant")
@@ -349,24 +353,23 @@ class ExplainerModel(_EncoderClassifier):
         w1 = ad.take_rows(head["start_w"], np.repeat(np.arange(L), B))
         p_start = ad.sigmoid(ad.tsum(ad.mul(m1, w1), axis=1))
 
-        # attention over start probabilities, summed within each instance
+        # attention over start probabilities: in the (L, B*2d) view, the
+        # time sum of instance b's columns gates each of its rows
         weighted = ad.mul(m1, ad.reshape(p_start, (L * B, 1)))
         weighted = ad.mul(weighted, valid.reshape(-1, 1))
-        attn = ad.matmul(Tensor(_per_instance_rows(np.ones((B, L)))), weighted)
-        m1_tilde = ad.mul(m1, ad.take_rows(attn, np.tile(np.arange(B), L)))
+        attn = ad.tsum(ad.reshape(weighted, (L, B * 2 * d)), axis=0)
+        m1_tilde = ad.reshape(ad.mul(ad.reshape(m1, (L, B * 2 * d)), attn), (L * B, 2 * d))
 
         m2_in = ad.concat([passage, m1, m1_tilde, ad.mul(m1, m1_tilde)], axis=1)
         m2 = rnn.bigru(m2_in, L, B, head["rnn2"], d, step_mask=valid)
         readout = ad.concat([passage, m2], axis=1)
 
-        tri = np.where(np.triu(np.ones((L, L))) > 0, 0.0, -np.inf)
-        p_end = []
-        for b in range(B):
-            rows_b = np.arange(L) * B + b
-            c_b = ad.take_rows(readout, rows_b)
-            logits = ad.matmul(head["end_w"], ad.transpose(c_b))
-            p_end.append(ad.softmax(logits, mask=tri, axis=-1))
-        return SpanForward(p_start=p_start, p_end=p_end, valid=valid)
+        # end logits in the (L, B*L) view: entry (t, b*L+i) scores end t
+        # for start i of instance b, normalized over the ends t >= i
+        logits = ad.reshape(ad.matmul(readout, ad.transpose(head["end_w"])), (L, B * L))
+        mask = np.tile(np.where(np.tril(np.ones((L, L))) > 0, 0.0, -np.inf), (1, B))
+        p_end = ad.softmax(logits, mask=mask, axis=0)
+        return SpanForward(p_start=p_start, p_end=ad.transpose(p_end), valid=valid)
 
 
 # ---------------------------------------------------------------------------

@@ -103,16 +103,16 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 1 or self.patience < 0 or self.batch_size < 1:
             raise ValueError("epochs >= 1, patience >= 0, batch_size >= 1 required")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.head not in ("token", "span"):
             raise ValueError(f"unknown explanation head {self.head!r}")
         if self.exp_weighting not in losses.WEIGHTING_MODES:
             raise ValueError(f"unknown exp_weighting {self.exp_weighting!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         return self
 
     def model_config(self, vocab_size: int, num_classes: int, span_len: int) -> ModelConfig:
@@ -160,10 +160,7 @@ class PipelineState:
     label_map: dict[str, int]
 
     def label_name(self, index: int):
-        for raw, idx in self.label_map.items():
-            if idx == index:
-                return raw
-        raise KeyError(index)
+        return {idx: raw for raw, idx in self.label_map.items()}[index]
 
 
 @dataclass
@@ -218,22 +215,15 @@ def _exp_loss(model: ExplainerModel, enc, batch: Batch, cfg: TrainConfig) -> Ten
             scores, batch.doc_row_index, batch.doc_targets, cfg.exp_weighting
         )
     sf = model.explain_spans(enc, batch.doc_start, batch.doc_sublen)
-    B = batch.size
-    per_instance = []
-    for b in range(B):
-        n = int(batch.doc_sublen[b])
-        sub_spans = word_spans_to_subtokens(batch.gold_spans[b], batch.word_groups[b])
-        targets = np.zeros(n)
-        for s, _ in sub_spans:
-            targets[s] = 1.0
-        p_b = ad.take_rows(sf.p_start, np.arange(n) * B + b)
-        start = losses.span_start_loss(p_b, targets)
-        end = losses.span_end_loss(sf.p_end[b], sub_spans)
-        per_instance.append(losses.span_total_loss(start, end))
-    total = per_instance[0]
-    for term in per_instance[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, 1.0 / B)
+    doc_spans = list(map(word_spans_to_subtokens, batch.gold_spans, batch.word_groups))
+    targets = np.zeros_like(sf.valid)
+    for b, spans in enumerate(doc_spans):
+        for s, _ in spans:
+            targets[s, b] = 1.0
+    rows = np.flatnonzero(sf.valid)
+    start = losses.span_start_loss(ad.take_rows(sf.p_start, rows), targets.reshape(-1)[rows])
+    end = losses.span_end_loss(sf.p_end, doc_spans)
+    return ad.mul(losses.span_total_loss(start, end), 1.0 / batch.size)
 
 
 def _batches(instances, vocab: Vocabulary, cfg: TrainConfig) -> list[Batch]:
@@ -284,7 +274,7 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
                 spans = metrics.mask_to_spans(hard)
             else:
                 spans_sub = decode_spans(
-                    sf.start_numpy(b), sf.p_end[b].data, threshold=cfg.threshold,
+                    sf.start_numpy(b), sf.end_numpy(b), threshold=cfg.threshold,
                     length=int(head_len[b]),
                 )
                 spans = subtoken_spans_to_words(spans_sub, batch.word_groups[b])

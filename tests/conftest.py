@@ -1,5 +1,12 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads. The models' matrices are small:
+# a second OpenBLAS thread buys no wall time on two cores, and beside
+# another busy process its spinning threads make training about 3x slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -10,6 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
+import etp.autodiff as ad
+from etp import losses, rnn
+from etp.autodiff import Tensor
 from etp.data import batchify
 from etp.models import mask_input
 
@@ -138,6 +141,72 @@ def start_attention(m1, p_start):
     m1 = np.asarray(m1, dtype=np.float64)
     p = np.asarray(p_start, dtype=np.float64).reshape(-1, 1)
     return m1 * (p * m1).sum(axis=0, keepdims=True)
+
+
+def ref_explain_spans(model, enc, doc_start, doc_sublen):
+    """The span head built one instance at a time.
+
+    Same parameters and encoder output as ``ExplainerModel.explain_spans``,
+    but the start attention sums each instance's rows through a dense
+    (B, L*B) selector matrix, and each instance's end matrix comes from
+    its own row gather, matmul and row softmax. Returns the flat start
+    probabilities and a list of B (L, L) end-matrix tensors.
+    """
+    cfg, head = model.cfg, model.params["exp"]
+    L, d = cfg.span_len, cfg.span_hidden
+    B, T = enc.batch, enc.seq_len
+    valid = np.zeros((L, B))
+    gather = np.full((L, B), T * B)
+    for b in range(B):
+        for t in range(int(doc_sublen[b])):
+            valid[t, b] = 1.0
+            gather[t, b] = (int(doc_start[b]) + t) * B + b
+    aug = ad.concat([enc.token_reps, Tensor(np.zeros((1, cfg.d_rep)))], axis=0)
+    passage = ad.take_rows(aug, gather.reshape(-1))
+    m1 = rnn.bigru(passage, L, B, head["rnn1"], d, step_mask=valid)
+    w1 = ad.take_rows(head["start_w"], np.repeat(np.arange(L), B))
+    p_start = ad.sigmoid(ad.tsum(ad.mul(m1, w1), axis=1))
+
+    weighted = ad.mul(m1, ad.reshape(p_start, (L * B, 1)))
+    weighted = ad.mul(weighted, valid.reshape(-1, 1))
+    selector = np.zeros((B, L * B))
+    for b in range(B):
+        selector[b, np.arange(L) * B + b] = 1.0
+    attn = ad.matmul(Tensor(selector), weighted)
+    m1_tilde = ad.mul(m1, ad.take_rows(attn, np.tile(np.arange(B), L)))
+
+    m2_in = ad.concat([passage, m1, m1_tilde, ad.mul(m1, m1_tilde)], axis=1)
+    m2 = rnn.bigru(m2_in, L, B, head["rnn2"], d, step_mask=valid)
+    readout = ad.concat([passage, m2], axis=1)
+    tri = np.where(np.triu(np.ones((L, L))) > 0, 0.0, -np.inf)
+    p_end = []
+    for b in range(B):
+        c_b = ad.take_rows(readout, np.arange(L) * B + b)
+        logits = ad.matmul(head["end_w"], ad.transpose(c_b))
+        p_end.append(ad.softmax(logits, mask=tri, axis=-1))
+    return p_start, p_end
+
+
+def ref_span_loss(p_start, p_end, doc_sublen, doc_spans):
+    """Batch mean of the per-instance span loss: BCE over instance b's
+    real start slots plus -ln p(end | start) over its gold sub-token
+    spans, summed one instance at a time."""
+    B = len(p_end)
+    total = Tensor(0.0)
+    for b in range(B):
+        n = int(doc_sublen[b])
+        targets = np.zeros(n)
+        for s, _ in doc_spans[b]:
+            targets[s] = 1.0
+        start = losses.span_start_loss(ad.take_rows(p_start, np.arange(n) * B + b), targets)
+        end = Tensor(0.0)
+        if doc_spans[b]:
+            starts = np.array([s for s, _ in doc_spans[b]])
+            ends = np.array([e - 1 for _, e in doc_spans[b]])
+            picked = ad.pick(p_end[b], starts, ends)
+            end = ad.neg(ad.tsum(ad.log(ad.clip_min(picked, losses.CLAMP))))
+        total = ad.add(total, ad.add(start, end))
+    return ad.mul(total, 1.0 / B)
 
 
 def keep_mask_closure(state, instance):

@@ -201,6 +201,18 @@ class TestTrain:
         assert int(stored["epochs"]) == 1
 
 
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lr", "inf")])
+    def test_non_finite_lambda_or_lr_is_clear_error(
+        self, tmp_path, data_dir, caplog, flag, value
+    ):
+        out = tmp_path / "run"
+        with caplog.at_level(logging.ERROR, logger="etp.cli"):
+            rc = cli.main(["train", "--data", str(data_dir), "--out", str(out), flag, value])
+        assert rc == 1
+        assert not out.exists()
+        assert any("must be finite" in r.getMessage() for r in caplog.records)
+
+
 class TestPredictAndEval:
     def test_predict_writes_jsonl(self, tmp_path, run_dir, data_dir):
         out = tmp_path / "preds.jsonl"
@@ -434,9 +446,43 @@ class TestSweep:
         assert [float(r["lambda"]) for r in rows] == [0.5, 2.0]
         for row in rows:
             assert float(row["criterion"]) == float(row["macro_f1"]) + float(row["token_f1"])
+            assert row["error"] == ""
         selected = json.loads((sweep_out / "selected.json").read_text())
         best = max(rows, key=lambda r: float(r["criterion"]))
         assert selected["lambda"] == float(best["lambda"])
+
+    def test_failed_point_row_records_its_error(self, tmp_path, data_dir, monkeypatch):
+        run_one = cli._run_one
+
+        def fail_at_two(data, run_dir, cfg):
+            if cfg.lam == 2.0:
+                raise RuntimeError("injected failure, with a comma")
+            return run_one(data, run_dir, cfg)
+
+        monkeypatch.setattr(cli, "_run_one", fail_at_two)
+        cfg = write_cfg(tmp_path / "cfg.txt", epochs="1")
+        sweep_out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--data", str(data_dir), "--out", str(sweep_out),
+                       "--grid", "0.5,2.0", "--config", str(cfg)])
+        assert rc == 0
+        with open(sweep_out / "sweep.csv", newline="") as fh:
+            scored, failed = list(csv.DictReader(fh))
+        assert scored["error"] == "" and float(scored["macro_f1"]) >= 0.0
+        assert failed["lambda"] == "2.0"
+        assert failed["error"] == "injected failure, with a comma"
+        assert all(failed[c] == "" for c in cli.SWEEP_COLUMNS[1:-1])
+        assert json.loads((sweep_out / "selected.json").read_text())["lambda"] == 0.5
+
+    @pytest.mark.parametrize("grid", ["nan", "1,nan"])
+    def test_non_finite_grid_point_is_clear_error(self, tmp_path, data_dir, caplog, grid):
+        sweep_out = tmp_path / "sweep"
+        with caplog.at_level(logging.ERROR, logger="etp.cli"):
+            rc = cli.main(
+                ["sweep", "--data", str(data_dir), "--out", str(sweep_out), f"--grid={grid}"]
+            )
+        assert rc == 1
+        assert not sweep_out.exists()
+        assert any("lambda must be finite" in r.getMessage() for r in caplog.records)
 
     def test_failed_point_logs_its_traceback(self, tmp_path, caplog):
         payload = {"cfg": {}, "lam": 1.0, "index": 0, "out": str(tmp_path),

@@ -194,19 +194,31 @@ class TestSpanLosses:
 
     def test_end_certain_span_is_zero(self):
         p_end = Tensor(np.eye(3))
-        assert losses.span_end_loss(p_end, [(0, 1)]).item() == 0.0
+        assert losses.span_end_loss(p_end, [[(0, 1)]]).item() == 0.0
 
     def test_end_two_half_probability_spans(self):
         p_end = Tensor(np.full((4, 4), 0.5))
-        value = losses.span_end_loss(p_end, [(0, 2), (2, 4)]).item()
+        value = losses.span_end_loss(p_end, [[(0, 2), (2, 4)]]).item()
         assert value == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_end_empty_span_set(self):
-        assert losses.span_end_loss(Tensor(np.eye(3)), []).item() == 0.0
+        assert losses.span_end_loss(Tensor(np.eye(3)), [[]]).item() == 0.0
 
     def test_end_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            losses.span_end_loss(Tensor(np.eye(3)), [(2, 4)])
+            losses.span_end_loss(Tensor(np.eye(3)), [[(2, 4)]])
+
+    def test_end_reads_each_document_block(self):
+        # two stacked 3x3 blocks; document 1's span (1, 3) reads row 3 + 1, column 2
+        p_end = np.zeros((6, 3))
+        p_end[0, 1] = 0.5
+        p_end[4, 2] = 0.25
+        value = losses.span_end_loss(Tensor(p_end), [[(0, 2)], [(1, 3)]]).item()
+        assert value == pytest.approx(LN2 + 2 * LN2, abs=1e-12)
+
+    def test_end_block_count_mismatch_rejected(self):
+        with pytest.raises(ad.DimensionError, match="2 documents"):
+            losses.span_end_loss(Tensor(np.eye(3)), [[(0, 1)], [(0, 1)]])
 
     def test_total_is_sum(self):
         assert losses.span_total_loss(Tensor(1.0), Tensor(0.5)).item() == 1.5
@@ -220,7 +232,7 @@ class TestSpanLosses:
             p_end = Tensor(rng.dirichlet(np.ones(6), size=6))
             spans = [(1, 3), (4, 6)]
             s = losses.span_start_loss(p_start, t)
-            e = losses.span_end_loss(p_end, spans)
+            e = losses.span_end_loss(p_end, [spans])
             assert losses.span_total_loss(s, e).item() == s.item() + e.item()
 
     def test_gradients(self):
@@ -233,7 +245,7 @@ class TestSpanLosses:
 
         def loss():
             start = losses.span_start_loss(ad.sigmoid(raw_start), t)
-            end = losses.span_end_loss(ad.softmax(raw_end, mask=tri), spans)
+            end = losses.span_end_loss(ad.softmax(raw_end, mask=tri), [spans])
             return losses.span_total_loss(start, end)
 
         fd_check(loss, [raw_start, raw_end])

@@ -255,9 +255,10 @@ class TestSpanHead:
         ids, pad, ds, dl = span_inputs(rng)
         sf = model.explain_spans(model.encode(ids, pad), ds, dl)
         L = model.cfg.span_len
-        for p_end in sf.p_end:
+        assert sf.p_end.shape == (2 * L, L)
+        for b in range(2):
             for i in range(L):
-                row = p_end.data[i]
+                row = sf.end_numpy(b)[i]
                 np.testing.assert_allclose(row[i:], 1.0 / (L - i), atol=1e-12)
                 np.testing.assert_array_equal(row[:i], 0.0)
 
@@ -267,9 +268,10 @@ class TestSpanHead:
         ids, pad, ds, dl = span_inputs(rng)
         sf = model.explain_spans(model.encode(ids, pad), ds, dl)
         L = model.cfg.span_len
-        for p_end in sf.p_end:
-            np.testing.assert_allclose(p_end.data.sum(axis=1), 1.0, atol=1e-9)
-            assert (p_end.data[np.tril_indices(L, k=-1)] == 0.0).all()
+        for b in range(2):
+            block = sf.end_numpy(b)
+            np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-9)
+            assert (block[np.tril_indices(L, k=-1)] == 0.0).all()
 
     def test_start_probabilities_in_unit_interval(self):
         model = span_model(seed=18)
@@ -308,7 +310,7 @@ class TestSpanHead:
             sf = model.explain_spans(model.encode(ids, pad), ds, dl)
             p_b = ad.take_rows(sf.p_start, np.arange(4))
             start = losses.span_start_loss(p_b, targets)
-            end = losses.span_end_loss(sf.p_end[0], spans)
+            end = losses.span_end_loss(sf.p_end, [spans])
             return losses.span_total_loss(start, end)
 
         fd_check(loss, params)

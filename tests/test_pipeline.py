@@ -57,6 +57,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(head="graph").validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", float("nan")), ("lam", float("inf")), ("learning_rate", float("nan")),
+         ("learning_rate", float("inf"))],
+    )
+    def test_non_finite_lambda_and_learning_rate_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value}).validate()
+
     def test_flat_config_round_trip(self):
         cfg = tiny_train_config(lam=2.5, head="span", subtoken_mode="char_bigram")
         text = dump_flat_config(cfg)

@@ -41,7 +41,6 @@ __all__ = [
     "transpose",
     "reshape",
     "pick",
-    "finite_difference",
 ]
 
 
@@ -88,9 +87,6 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -509,21 +505,3 @@ OPS: dict[str, Callable] = {
     "pick": pick,
 }
 
-
-def finite_difference(f: Callable[[], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of scalar ``f()`` w.r.t. ``x``.
-
-    ``f`` must read ``x`` afresh on every call; ``x`` is perturbed in
-    place and restored. This is the independent oracle the gradient
-    checks compare analytic gradients against.
-    """
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        saved = x.flat[i]
-        x.flat[i] = saved + h
-        fp = f()
-        x.flat[i] = saved - h
-        fm = f()
-        x.flat[i] = saved
-        grad.flat[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -203,10 +203,17 @@ def read_predictions(path) -> dict[str, dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: line is not a JSON object")
             for key in ("id", "rationale"):
                 if key not in obj:
                     raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            out[obj["id"]] = obj
+            uid = obj["id"]
+            if not isinstance(uid, str):
+                raise DataError(f"{path}:{lineno}: 'id' must be a string")
+            if uid in out:
+                raise DataError(f"{path}:{lineno}: duplicate id {uid!r}")
+            out[uid] = obj
     return out
 
 
@@ -249,8 +256,7 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_point(payload: dict) -> dict:
-    cfg = coerce_config(TrainConfig, payload["cfg"])
-    lam = payload["lam"]
+    cfg, lam = payload["cfg"], payload["lam"]
     cfg = replace(cfg, lam=lam, seed=cfg.seed + payload["index"]).validate()
     run_dir = Path(payload["out"]) / f"lambda_{lam:g}"
     try:
@@ -281,10 +287,9 @@ def cmd_sweep(args) -> int:
         replace(cfg, lam=lam).validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_map = parse_flat_config(dump_flat_config(cfg))
     payloads = [
         {
-            "cfg": cfg_map,
+            "cfg": cfg,
             "lam": lam,
             "index": i,
             "data": str(args.data),

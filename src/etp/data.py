@@ -122,15 +122,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
     def encode(self, tokens) -> np.ndarray:
         unk = self.unk_id
         return np.array([self.index.get(t, unk) for t in tokens], dtype=np.int64)
-
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[int(i)] for i in ids]
 
     def save(self, path) -> None:
         for t in self.tokens:

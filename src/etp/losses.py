@@ -27,31 +27,11 @@ __all__ = [
     "span_start_loss",
     "span_end_loss",
     "span_total_loss",
-    "clamp_event_count",
-    "reset_clamp_events",
 ]
 
 CLAMP = 1e-12
 
 WEIGHTING_MODES = ("inverse_prior", "literal_count", "none")
-
-_clamp_events = 0
-
-
-def clamp_event_count() -> int:
-    """How many log arguments have been clamped since the last reset."""
-    return _clamp_events
-
-
-def reset_clamp_events() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
-
-def _count_clamped(values: np.ndarray) -> None:
-    global _clamp_events
-    _clamp_events += int((values <= CLAMP).sum())
-
 
 def _flat(p: Tensor) -> Tensor:
     return p if p.data.ndim == 1 else ad.reshape(p, (-1,))
@@ -69,7 +49,6 @@ def task_loss(probs: Tensor, labels) -> Tensor:
             f"task_loss: probs {probs.shape} and labels {labels.shape} do not conform"
         )
     picked = ad.pick(probs, np.arange(len(labels)), labels)
-    _count_clamped(picked.data)
     return ad.neg(ad.tmean(ad.log(ad.clip_min(picked, CLAMP))))
 
 
@@ -99,8 +78,6 @@ def _bce_weights(targets: np.ndarray, weighting: str) -> np.ndarray:
 
 def _weighted_bce_graph(p: Tensor, coef_pos: np.ndarray, coef_neg: np.ndarray) -> Tensor:
     """-(sum coef_pos*ln p + sum coef_neg*ln(1-p)) with clamped logs."""
-    _count_clamped(p.data[coef_pos > 0])
-    _count_clamped(1.0 - p.data[coef_neg > 0])
     pos = ad.tsum(ad.mul(coef_pos, ad.log(ad.clip_min(p, CLAMP))))
     neg_ = ad.tsum(ad.mul(coef_neg, ad.log(ad.clip_min(ad.sub(1.0, p), CLAMP))))
     return ad.neg(ad.add(pos, neg_))
@@ -212,7 +189,6 @@ def span_end_loss(p_end: Tensor, doc_spans) -> Tensor:
     if not rows:
         return Tensor(0.0)
     picked = ad.pick(p_end, np.array(rows), np.array(ends))
-    _count_clamped(picked.data)
     return ad.neg(ad.tsum(ad.log(ad.clip_min(picked, CLAMP))))
 
 

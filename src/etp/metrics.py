@@ -371,9 +371,3 @@ class MetricsReport:
             value = flat[key]
             lines.append(f"{key} = {'' if value is None else value}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MetricsReport":
-        stats = ExplanationStats(**obj["statistics"])
-        rest = {k: v for k, v in obj.items() if k != "statistics"}
-        return cls(statistics=stats, **rest)

@@ -114,14 +114,6 @@ def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
     return rng.uniform(-k, k, (fan_in, fan_out))
 
 
-def _per_instance_rows(w: np.ndarray) -> np.ndarray:
-    """The (B, T*B) matrix whose row b weights the time-major rows of
-    instance b by ``w[b]``, a (B, T) array; as a left factor it reduces
-    a (T*B, d) block to one (B, d) row per instance."""
-    B, T = w.shape
-    return (np.eye(B)[:, None, :] * w[:, :, None]).reshape(B, T * B)
-
-
 def _flatten(tree, prefix: str = "", out=None) -> dict[str, Tensor]:
     if out is None:
         out = {}
@@ -213,7 +205,11 @@ class _EncoderClassifier:
         lengths = pad_mask.sum(axis=1)
         if (lengths == 0).any():
             raise ad.DimensionError("encode: a batch row has no unpadded token")
-        pooled = ad.matmul(Tensor(_per_instance_rows(pad_mask / lengths[:, None])), x)
+        # weight each time-major row by 1/length (0 at padding); in the
+        # (T, B*d) view, the time sum of instance b's columns is its mean
+        weighted = ad.mul(x, (pad_mask / lengths[:, None]).T.reshape(-1, 1))
+        d = x.shape[1]
+        pooled = ad.reshape(ad.tsum(ad.reshape(weighted, (T, B * d)), axis=0), (B, d))
         return EncoderOutput(token_reps=x, pooled=pooled, seq_len=T, batch=B, pad_mask=pad_mask)
 
     def predict_task(
@@ -241,11 +237,9 @@ class _EncoderClassifier:
 
     @classmethod
     def load(cls, path) -> "_EncoderClassifier":
-        kind, cfg, arrays = load_checkpoint(path)
-        if kind != cls.kind:
-            raise ValueError(f"checkpoint holds a {kind!r} model, expected {cls.kind!r}")
-        model = cls(cfg, seed=0)
-        model.load_state(arrays)
+        model = load_model(path)
+        if model.kind != cls.kind:
+            raise ValueError(f"{path} holds a {model.kind!r} model, expected {cls.kind!r}")
         return model
 
 
@@ -477,10 +471,11 @@ def load_checkpoint(path):
 
 
 def load_model(path):
-    """Load either model kind from a checkpoint."""
-    kind, _, _ = load_checkpoint(path)
-    if kind == "explainer":
-        return ExplainerModel.load(path)
-    if kind == "predictor":
-        return PredictorModel.load(path)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Build the model kind a checkpoint names from one read of the file."""
+    kind, cfg, arrays = load_checkpoint(path)
+    classes = {cls.kind: cls for cls in (ExplainerModel, PredictorModel)}
+    if kind not in classes:
+        raise ValueError(f"unknown model kind {kind!r}")
+    model = classes[kind](cfg, seed=0)
+    model.load_state(arrays)
+    return model

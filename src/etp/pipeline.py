@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .models import (
     ModelConfig,
     PredictorModel,
     decode_spans,
-    load_model,
     mask_input,
     pool_subtokens,
     subtoken_spans_to_words,
@@ -439,7 +439,14 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
     masked_train = filter_training_instances(
         build_masked_dataset(train, [e.mask for e in train_exp], cfg.wildcard), train_exp
     )
-    logger.info("auxiliary filter kept %d / %d training instances", len(masked_train), len(train))
+    kept, total = Counter(i.label for i in masked_train), Counter(i.label for i in train)
+    logger.info(
+        "auxiliary filter kept %d / %d training instances (%s)",
+        len(masked_train),
+        len(train),
+        ", ".join(f"class {raw}: {kept[c]} / {total[c]}"
+                  for raw, c in sorted(dataset.label_map.items(), key=lambda kv: kv[1])),
+    )
     masked_val = build_masked_dataset(val, [e.mask for e in val_exp], cfg.wildcard)
     predictor, hist2 = train_predictor(masked_train, masked_val, cfg, vocab, num_classes)
     return PipelineState(
@@ -645,15 +652,6 @@ def coerce_config(cls, mapping: dict[str, str], **overrides):
 
 def _coerce_value(annotation: str, raw: str):
     ann = str(annotation)
-    if "tuple" in ann:
-        parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
-        return tuple(int(p) for p in parts)
-    if "bool" in ann:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot parse boolean from {raw!r}")
     if "int" in ann:
         return int(raw)
     if "float" in ann:
@@ -711,8 +709,8 @@ def load_run(run_dir) -> PipelineState:
         if not (run_dir / name).exists():
             raise PipelineError(f"run directory {run_dir} is missing {name}")
     cfg = coerce_config(TrainConfig, parse_flat_config((run_dir / "train_config.txt").read_text()))
-    explainer = load_model(run_dir / "explainer.npz")
-    predictor = load_model(run_dir / "predictor.npz")
+    explainer = ExplainerModel.load(run_dir / "explainer.npz")
+    predictor = PredictorModel.load(run_dir / "predictor.npz")
     vocab = Vocabulary.load(run_dir / "vocab.txt")
     label_map = {
         str(k): int(v) for k, v in json.loads((run_dir / "labels.json").read_text()).items()

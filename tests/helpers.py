@@ -2,7 +2,26 @@
 
 import numpy as np
 
-from etp.autodiff import Tape, finite_difference
+from etp.autodiff import Tape
+
+
+def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite-difference gradient of scalar ``f()`` w.r.t. ``x``.
+
+    ``f`` must read ``x`` afresh on every call; ``x`` is perturbed in
+    place and restored. This is the independent oracle the gradient
+    checks compare analytic gradients against.
+    """
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        saved = x.flat[i]
+        x.flat[i] = saved + h
+        fp = f()
+        x.flat[i] = saved - h
+        fm = f()
+        x.flat[i] = saved
+        grad.flat[i] = (fp - fm) / (2.0 * h)
+    return grad
 
 
 def fd_check(build_loss, tensors, h=1e-5, rtol=1e-4, atol=1e-8):

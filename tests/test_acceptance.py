@@ -18,7 +18,7 @@ import pytest
 
 import etp.autodiff as ad
 from etp import cli, losses, metrics, rnn
-from etp.autodiff import Tape, Tensor, finite_difference
+from etp.autodiff import Tape, Tensor
 from etp.data import Dataset, SyntheticSpec, Vocabulary, batchify, generate_synthetic, load_dataset
 from etp.models import ExplainerModel, ModelConfig, mask_input
 from etp.pipeline import (
@@ -32,6 +32,7 @@ from etp.pipeline import (
 )
 
 import reference as ref
+from helpers import finite_difference
 
 H_FD = 1e-5
 RTOL_FD = 1e-4

@@ -6,7 +6,7 @@ import pytest
 
 import etp.autodiff as ad
 from etp.autodiff import Tape, Tensor
-from etp.optim import Adam, OptimizerError, adam_step
+from etp.optim import Adam, OptimizerError
 from etp.rnn import _step, gru_sequence, init_gru
 
 from helpers import fd_check
@@ -265,10 +265,6 @@ class TestAdam:
             np.testing.assert_array_equal(p.data, data)
             np.testing.assert_array_equal(opt.state[name][0], m)
             np.testing.assert_array_equal(opt.state[name][1], v)
-
-    def test_state_shape_mismatch(self):
-        with pytest.raises(OptimizerError, match="shape"):
-            adam_step(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3), 1, 0.1)
 
     def test_same_seed_bit_identical_runs(self):
         def run():

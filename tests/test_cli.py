@@ -11,6 +11,7 @@ import pytest
 
 from etp import cli, metrics, pipeline
 from etp.data import load_jsonl
+from etp.pipeline import TrainConfig
 
 TINY_TRAIN = dict(
     epochs="2",
@@ -393,6 +394,47 @@ class TestPredictAndEval:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("5", "line is not a JSON object"),
+            ('["a", [0]]', "line is not a JSON object"),
+            ('{"id": 7, "rationale": []}', "'id' must be a string"),
+            (None, "duplicate id"),
+        ],
+        ids=["number", "array", "non-string-id", "duplicate-id"],
+    )
+    def test_malformed_prediction_line_names_file_and_line(
+        self, tmp_path, data_dir, caplog, line, message
+    ):
+        instances, _ = load_jsonl(data_dir / "test.jsonl")
+        records = [
+            json.dumps({"id": inst.uid, "label": inst.label_raw,
+                        "rationale": [int(v) for v in inst.rationale_mask]})
+            for inst in instances
+        ]
+        records.insert(2, records[0] if line is None else line)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text("\n".join(records) + "\n")
+        rc = cli.main(["eval", "--data", str(data_dir / "test.jsonl"),
+                       "--predictions", str(preds_path), "--out", str(tmp_path / "e")])
+        assert rc == 1
+        assert f"{preds_path}:3: {message}" in caplog.text
+
+    def test_swapped_checkpoints_are_clear_error(self, tmp_path, run_dir, data_dir, caplog):
+        swapped = tmp_path / "run"
+        swapped.mkdir()
+        for path in run_dir.iterdir():
+            if path.is_file():
+                swapped.joinpath(path.name).write_bytes(path.read_bytes())
+        (swapped / "explainer.npz").write_bytes((run_dir / "predictor.npz").read_bytes())
+        (swapped / "predictor.npz").write_bytes((run_dir / "explainer.npz").read_bytes())
+        rc = cli.main(["predict", "--run", str(swapped), "--data", str(data_dir / "test.jsonl"),
+                       "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 1
+        assert "holds a 'predictor' model, expected 'explainer'" in caplog.text
+        assert not (tmp_path / "p.jsonl").exists()
+
 
 class TestSweep:
     def test_single_point_equals_train_plus_eval(self, tmp_path, data_dir):
@@ -485,7 +527,7 @@ class TestSweep:
         assert any("lambda must be finite" in r.getMessage() for r in caplog.records)
 
     def test_failed_point_logs_its_traceback(self, tmp_path, caplog):
-        payload = {"cfg": {}, "lam": 1.0, "index": 0, "out": str(tmp_path),
+        payload = {"cfg": TrainConfig(), "lam": 1.0, "index": 0, "out": str(tmp_path),
                    "data": str(tmp_path / "missing"), "criterion": "token_f1"}
         with caplog.at_level(logging.ERROR, logger="etp.cli"):
             row = cli._sweep_point(payload)

@@ -29,12 +29,10 @@ class TestTaskLoss:
         assert losses.task_loss(probs, [0, 0]).item() == pytest.approx(expected, abs=1e-12)
         assert losses.task_loss(probs, [0, 0]).item() == pytest.approx(0.3466, abs=1e-4)
 
-    def test_zero_probability_clamped_and_counted(self):
-        losses.reset_clamp_events()
+    def test_zero_probability_clamped(self):
         probs = Tensor([[0.0, 1.0]])
         value = losses.task_loss(probs, [0]).item()
         assert value == pytest.approx(-math.log(losses.CLAMP))
-        assert losses.clamp_event_count() == 1
 
     def test_gradient(self):
         rng = np.random.default_rng(0)

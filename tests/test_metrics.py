@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etp import metrics
 from etp.metrics import (
@@ -22,6 +24,9 @@ from etp.metrics import (
 
 import reference as ref
 
+# the same 200 examples on every run
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
 
 class TestSpanMaskPlumbing:
     def test_spans_to_mask_example(self):
@@ -30,20 +35,26 @@ class TestSpanMaskPlumbing:
     def test_mask_to_spans_example(self):
         assert mask_to_spans([1, 1, 0, 1]) == [(0, 2), (3, 4)]
 
-    def test_round_trip_random_masks(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 30))
-            mask = rng.integers(0, 2, n)
-            spans = mask_to_spans(mask)
-            np.testing.assert_array_equal(spans_to_mask(spans, n), mask)
+    @ROUND_TRIP
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
+    def test_round_trip_random_masks(self, bits):
+        mask = np.array(bits)
+        np.testing.assert_array_equal(spans_to_mask(mask_to_spans(mask), mask.size), mask)
 
-    def test_round_trip_random_spans(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            n = int(rng.integers(4, 30))
-            spans = ref.random_span_set(rng, n)
-            assert mask_to_spans(spans_to_mask(spans, n)) == normalize_spans(spans)
+    @ROUND_TRIP
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 6)), max_size=4).map(
+                    lambda pairs: [(s, min(s + k, n)) for s, k in pairs]
+                ),
+            )
+        )
+    )
+    def test_round_trip_random_spans(self, case):
+        n, spans = case
+        assert mask_to_spans(spans_to_mask(spans, n)) == normalize_spans(spans)
 
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError, match="range"):
@@ -292,8 +303,7 @@ class TestReportSerialization:
         import json
 
         report = self._report()
-        again = MetricsReport.from_dict(json.loads(report.to_json()))
-        assert again == report
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_text_has_flat_keys(self):
         text = self._report().to_text()

@@ -431,6 +431,15 @@ class TestCheckpoints:
             ExplainerModel.load(path)
         assert isinstance(load_model(path), PredictorModel)
 
+    @pytest.mark.parametrize("load", [load_model, ExplainerModel.load], ids=["load_model", "load"])
+    def test_checkpoint_file_read_once(self, tmp_path, monkeypatch, load):
+        ExplainerModel(tiny_config(), seed=28).save(tmp_path / "model.npz")
+        reads = []
+        real_np_load = np.load
+        monkeypatch.setattr(np, "load", lambda *a, **kw: reads.append(a) or real_np_load(*a, **kw))
+        assert isinstance(load(tmp_path / "model.npz"), ExplainerModel)
+        assert len(reads) == 1
+
     def test_checkpoint_is_self_describing(self, tmp_path):
         model = ExplainerModel(tiny_config(enc_hidden=3), seed=29)
         path = tmp_path / "model.npz"

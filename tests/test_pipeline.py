@@ -2,6 +2,7 @@
 inference composition, and determinism."""
 
 import dataclasses
+import logging
 from collections import Counter
 
 import numpy as np
@@ -174,6 +175,28 @@ class TestFilter:
         kept = filter_training_instances(train, explain(model, train, dataset.vocab, cfg))
         train_ids = {inst.uid for inst in dataset.splits["train"]}
         assert {inst.uid for inst in kept} <= train_ids
+
+    def test_log_line_reports_kept_over_total_per_class(self, dataset, caplog, monkeypatch):
+        kept_lists = []
+
+        def recording_filter(instances, explanations):
+            kept = filter_training_instances(instances, explanations)
+            kept_lists.append(kept)
+            return kept
+
+        monkeypatch.setattr(pipeline, "filter_training_instances", recording_filter)
+        with caplog.at_level(logging.INFO, logger="etp.pipeline"):
+            run_pipeline(dataset, tiny_train_config(epochs=1))
+        (kept,) = kept_lists
+        train = dataset.splits["train"]
+        per_class = ", ".join(
+            f"class {c}: {sum(i.label == c for i in kept)} / {sum(i.label == c for i in train)}"
+            for c in (0, 1)
+        )
+        expected = (
+            f"auxiliary filter kept {len(kept)} / {len(train)} training instances ({per_class})"
+        )
+        assert expected in [r.getMessage() for r in caplog.records]
 
 
 class TestMaskedDataset:

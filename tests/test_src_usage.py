@@ -1,0 +1,42 @@
+"""Guard against code in ``src/etp`` that nothing in ``src/etp`` uses.
+
+Every function and class defined in the package (methods and nested
+functions included, dunders excepted) must be referenced somewhere in
+the package besides its own definition: as a name, as an attribute, or
+as an imported name, so a re-export from ``etp/__init__`` counts. Code
+that only the tests call belongs in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+import etp
+
+SRC = Path(etp.__file__).parent
+
+
+def _definitions_and_references():
+    defined: dict[str, list[str]] = {}
+    referenced: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rsplit(".", 1)[-1])
+    return defined, referenced
+
+
+def test_every_definition_is_used_inside_the_package():
+    defined, referenced = _definitions_and_references()
+    unused = {
+        name: where
+        for name, where in defined.items()
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not unused, f"defined in src/etp but used only outside it: {unused}"

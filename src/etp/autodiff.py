@@ -79,10 +79,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() on non-scalar tensor of shape {self.shape}")
@@ -96,29 +92,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         tag = f", op={self.op!r}" if self.op else ""
         return f"Tensor(shape={self.shape}{flag}{tag})"
-
-    # operator sugar; constants are wrapped as non-differentiable leaves
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -257,7 +230,10 @@ def mul(a, b) -> Tensor:
     sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g * b.data, sa), _unbroadcast(g * a.data, sb)
+        # a constant operand (a mask or weight array) gets no gradient
+        ga = _unbroadcast(g * b.data, sa) if a.requires_grad or a._backward else None
+        gb = _unbroadcast(g * a.data, sb) if b.requires_grad or b._backward else None
+        return ga, gb
 
     return _node(data, (a, b), backward, "mul")
 

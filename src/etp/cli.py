@@ -65,7 +65,10 @@ def _config_mapping(args) -> dict[str, str]:
 def _train_config(args) -> TrainConfig:
     """Resolve TrainConfig from defaults, then config file, then flags."""
     mapping = _config_mapping(args)
-    known = {f for f in TrainConfig.__dataclass_fields__}
+    known = set(TrainConfig.__dataclass_fields__)
+    ignored = sorted(set(mapping) - known)
+    if ignored:
+        logger.warning("config keys that are not training options are ignored: %s", ", ".join(ignored))
     mapping = {k: v for k, v in mapping.items() if k in known}
     overrides = {}
     for name in known:

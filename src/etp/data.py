@@ -445,10 +445,6 @@ class Batch:
     def size(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.ids.shape[1]
-
 
 def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str):
     prefix: list[str] = []

@@ -136,27 +136,20 @@ def token_explanation_loss(
 class LossBreakdown:
     """Task, explanation, and combined losses for one step or epoch."""
 
-    task_loss: Tensor | float
-    exp_loss: Tensor | float
-    total: Tensor | float
-    lam: float
+    task_loss: Tensor
+    exp_loss: Tensor
+    total: Tensor
 
     def values(self) -> tuple[float, float, float]:
-        def val(x):
-            return x.item() if isinstance(x, Tensor) else float(x)
-
-        return val(self.task_loss), val(self.exp_loss), val(self.total)
+        return self.task_loss.item(), self.exp_loss.item(), self.total.item()
 
 
-def combined_loss(task, exp, lam: float) -> LossBreakdown:
+def combined_loss(task: Tensor, exp: Tensor, lam: float) -> LossBreakdown:
     """total = task + lam * exp, computed in exactly that f64 order."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if isinstance(task, Tensor) or isinstance(exp, Tensor):
-        total = ad.add(task, ad.mul(exp, float(lam)))
-    else:
-        total = task + lam * exp
-    return LossBreakdown(task_loss=task, exp_loss=exp, total=total, lam=float(lam))
+    total = ad.add(task, ad.mul(exp, float(lam)))
+    return LossBreakdown(task_loss=task, exp_loss=exp, total=total)
 
 
 def span_start_loss(p_start: Tensor, targets) -> Tensor:

@@ -160,10 +160,6 @@ class _EncoderClassifier:
     def parameters(self) -> dict[str, Tensor]:
         return _flatten(self.params)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.parameters()
         if set(arrays) != set(params):
@@ -423,24 +419,17 @@ def subtoken_spans_to_words(spans, word_groups):
     return normalize_spans(out)
 
 
-def mask_input(tokens, rationale_mask, wildcard: str = ".", protected=None) -> list[str]:
+def mask_input(tokens, rationale_mask, wildcard: str = ".") -> list[str]:
     """Replace tokens outside the rationale with the wildcard token.
 
-    ``protected`` positions (query/separator slots when masking a full
-    combined sequence) are always kept. Masking is idempotent: applying
-    the same mask to its own output changes nothing.
+    Masking is idempotent: applying the same mask to its own output
+    changes nothing.
     """
     tokens = list(tokens)
     mask = np.asarray(rationale_mask)
     if mask.shape != (len(tokens),):
         raise ValueError(f"mask length {mask.shape} != token count {len(tokens)}")
-    keep = mask.astype(bool)
-    if protected is not None:
-        prot = np.asarray(protected).astype(bool)
-        if prot.shape != keep.shape:
-            raise ValueError("protected flags must match the token count")
-        keep = keep | prot
-    return [t if k else wildcard for t, k in zip(tokens, keep)]
+    return [t if k else wildcard for t, k in zip(tokens, mask.astype(bool))]
 
 
 # ---------------------------------------------------------------------------

@@ -399,10 +399,7 @@ def filter_training_instances(instances, explanations):
     (``explanations[i].label`` for ``instances[i]``) matches the gold
     label. Applies to training data only; callers must never filter
     validation or test sets."""
-    kept = [inst for inst, e in zip(instances, explanations) if e.label == inst.label]
-    if not kept:
-        logger.warning("auxiliary filter removed every training instance")
-    return kept
+    return [inst for inst, e in zip(instances, explanations) if e.label == inst.label]
 
 
 def build_masked_dataset(instances, masks, wildcard: str):
@@ -440,13 +437,16 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
         build_masked_dataset(train, [e.mask for e in train_exp], cfg.wildcard), train_exp
     )
     kept, total = Counter(i.label for i in masked_train), Counter(i.label for i in train)
+    classes = sorted(dataset.label_map.items(), key=lambda kv: kv[1])
     logger.info(
         "auxiliary filter kept %d / %d training instances (%s)",
         len(masked_train),
         len(train),
-        ", ".join(f"class {raw}: {kept[c]} / {total[c]}"
-                  for raw, c in sorted(dataset.label_map.items(), key=lambda kv: kv[1])),
+        ", ".join(f"class {raw}: {kept[c]} / {total[c]}" for raw, c in classes),
     )
+    starved = [f"class {raw}" for raw, c in classes if not kept[c]]
+    if starved:
+        logger.warning("auxiliary filter kept no training instance of %s", ", ".join(starved))
     masked_val = build_masked_dataset(val, [e.mask for e in val_exp], cfg.wildcard)
     predictor, hist2 = train_predictor(masked_train, masked_val, cfg, vocab, num_classes)
     return PipelineState(

@@ -66,6 +66,16 @@ class TestBackwardExamples:
             tape.backward(ad.tsum(ad.mul(ad.add(x, x), x)))
         np.testing.assert_allclose(x.grad, [8.0])
 
+    def test_mul_gives_no_gradient_to_a_constant_operand(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+        w = rng.uniform(-1, 1, (4, 1))
+        with Tape():
+            y = ad.mul(x, w)
+        grads = y._backward(np.ones((4, 3)))
+        assert grads[1] is None
+        np.testing.assert_array_equal(grads[0], np.broadcast_to(w, (4, 3)))
+
     def test_two_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.uniform(-2, 2, (4, 3)))

@@ -575,6 +575,17 @@ class TestParser:
         )
         assert rc == 0
 
+    def test_ignored_config_keys_are_warned_about(self, tmp_path, caplog):
+        cfg_file = write_cfg(tmp_path / "typo.txt", lamda="3", vocab_size="40")
+        args = cli.build_parser().parse_args(
+            ["train", "--data", "d", "--out", "o", "--config", str(cfg_file)]
+        )
+        with caplog.at_level(logging.WARNING, logger="etp.cli"):
+            cfg = cli._train_config(args)
+        assert cfg.lam == TrainConfig().lam
+        (message,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert message.endswith(": lamda, vocab_size")
+
     def test_malformed_config_line_fails_cleanly(self, tmp_path, data_dir):
         bad = tmp_path / "bad.txt"
         bad.write_text("this is not a key value line\n")

@@ -220,14 +220,14 @@ class TestBatchify:
         inst = self._inst("a", ["x", "y", "z"], spans=[(0, 1)])
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 4, vocab)
-        assert batch.size == 1 and batch.seq_len == 3
+        assert batch.size == 1 and batch.ids.shape[1] == 3
         assert batch.pad_mask.all()
 
     def test_mixed_lengths_padded(self):
         insts = [self._inst("a", ["x"] * 3), self._inst("b", ["y"] * 5)]
         vocab = self._vocab(insts)
         (batch,) = batchify(insts, 2, vocab)
-        assert batch.seq_len == 5
+        assert batch.ids.shape[1] == 5
         np.testing.assert_array_equal(batch.pad_mask[0], [1, 1, 1, 0, 0])
         assert (batch.ids[0, 3:] == vocab.pad_id).all()
 
@@ -250,7 +250,7 @@ class TestBatchify:
         inst = self._inst("a", [f"d{i}" for i in range(10)], query=["q"], spans=[(0, 2)])
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 1, vocab, max_len=6)
-        assert batch.seq_len == 6
+        assert batch.ids.shape[1] == 6
         assert batch.word_counts == [4]  # q, sep, then 4 document words
         assert batch.ids[0, 0] == vocab.index["q"]
         assert batch.gold_spans[0] == [(0, 2)]

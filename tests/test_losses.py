@@ -135,12 +135,12 @@ class TestBatchedTokenLoss:
 
 class TestCombinedLoss:
     def test_lambda_zero_total_is_task_exactly(self):
-        bd = losses.combined_loss(0.123456789, 7.7, 0.0)
-        assert bd.total == 0.123456789
+        bd = losses.combined_loss(Tensor(0.123456789), Tensor(7.7), 0.0)
+        assert bd.total.item() == 0.123456789
 
     def test_arithmetic(self):
-        bd = losses.combined_loss(1.0, 2.0, 5.0)
-        assert bd.total == 11.0
+        bd = losses.combined_loss(Tensor(1.0), Tensor(2.0), 5.0)
+        assert bd.total.item() == 11.0
 
     def test_tensor_path_invariant(self):
         rng = np.random.default_rng(6)
@@ -157,12 +157,15 @@ class TestCombinedLoss:
         assert bd.total.item() == task.item()
 
     def test_monotone_in_lambda(self):
-        values = [losses.combined_loss(1.0, 0.5, lam).total for lam in (0.0, 0.1, 1.0, 5.0, 50.0)]
+        values = [
+            losses.combined_loss(Tensor(1.0), Tensor(0.5), lam).total.item()
+            for lam in (0.0, 0.1, 1.0, 5.0, 50.0)
+        ]
         assert values == sorted(values)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            losses.combined_loss(1.0, 1.0, -0.1)
+            losses.combined_loss(Tensor(1.0), Tensor(1.0), -0.1)
 
     def test_gradient_flows_through_both_terms(self):
         rng = np.random.default_rng(7)

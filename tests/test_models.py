@@ -368,10 +368,6 @@ class TestMaskInput:
         tokens = ["x", "y"]
         assert mask_input(tokens, [1, 1], ".") == tokens
 
-    def test_all_zeros_wildcard_except_protected(self):
-        out = mask_input(["q", "s", "a", "b"], [0, 0, 0, 0], ".", protected=[1, 1, 0, 0])
-        assert out == ["q", "s", ".", "."]
-
     def test_idempotent(self):
         rng = np.random.default_rng(23)
         for _ in range(25):

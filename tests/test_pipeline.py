@@ -198,6 +198,16 @@ class TestFilter:
         )
         assert expected in [r.getMessage() for r in caplog.records]
 
+    def test_class_the_filter_empties_is_warned_about(self, dataset, caplog, monkeypatch):
+        def drop_class_0(instances, explanations):
+            return [i for i in filter_training_instances(instances, explanations) if i.label == 1]
+
+        monkeypatch.setattr(pipeline, "filter_training_instances", drop_class_0)
+        with caplog.at_level(logging.WARNING, logger="etp.pipeline"):
+            run_pipeline(dataset, tiny_train_config(epochs=1))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert "auxiliary filter kept no training instance of class 0" in warnings
+
 
 class TestMaskedDataset:
     def _trained(self, dataset, **kw):

@@ -47,7 +47,8 @@ def _model(span_len, seed):
 
 
 def _grads(model, build):
-    model.zero_grad()
+    for p in model.parameters().values():
+        p.zero_grad()
     with Tape() as tape:
         loss = build()
         tape.backward(loss)

@@ -265,9 +265,8 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function on a plain array."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function on a plain array, 0.5 * (1 + tanh(x / 2)): tanh cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def sigmoid(a) -> Tensor:

@@ -18,10 +18,12 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from multiprocessing import get_context
 from pathlib import Path
 
 from . import metrics, pipeline
@@ -302,7 +304,10 @@ def cmd_sweep(args) -> int:
         for i, lam in enumerate(grid)
     ]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # the points fill every core: one BLAS thread per worker unless the user set a count
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
+        with ProcessPoolExecutor(args.workers, mp_context=get_context("spawn")) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]

@@ -1,9 +1,9 @@
 """GRU recurrent layers on top of the autodiff core.
 
-Sequences are laid out time-major: a batch of B sequences of length T
-lives in a (T*B, dim) matrix whose row t*B + b is token t of sequence b.
-That makes the per-step input a contiguous row slice, and lets the
-input-to-gate projection of a whole sequence be one matmul.
+Sequences are laid out time-major: row t*B + b of a (T*B, dim) matrix
+is token t of sequence b. A step's input is then a contiguous row slice,
+and a run's input projection and each recurrent weight's gradient are
+one matmul over all steps instead of one per step.
 """
 
 from __future__ import annotations
@@ -37,21 +37,25 @@ def _step(xs: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_c: np.ndarray):
 
     ``xs`` is the input projection x @ w_x + b holding the stacked
     update/reset/candidate contributions. The new state is
-    (1-z)*h + z*candidate: the update gate weights the fresh candidate,
+    h + z*(candidate - h): the update gate weights the fresh candidate,
     so zero weights leave a zero state fixed. Returns the new state and
     the values :func:`_step_backward` needs.
     """
     hidden = h.shape[1]
-    zr = ad._sigmoid(xs[:, : 2 * hidden] + h @ u_zr)
+    pre = h @ u_zr
+    pre += xs[:, : 2 * hidden]
+    zr = ad._sigmoid(pre)
     z, r = zr[:, :hidden], zr[:, hidden:]
     rh = r * h
-    c = np.tanh(xs[:, 2 * hidden :] + rh @ u_c)
-    return (1.0 - z) * h + z * c, (z, r, c, rh, h)
+    c = rh @ u_c
+    c += xs[:, 2 * hidden :]
+    np.tanh(c, out=c)
+    return h + z * (c - h), (z, r, c, rh, h)
 
 
 def _step_backward(g: np.ndarray, saved: tuple, u_zr: np.ndarray, u_c: np.ndarray):
     """Gradients of one :func:`_step` given the gradient ``g`` of its new
-    state: returns (d xs, d h, d u_zr, d u_c)."""
+    state: returns (d xs, d h); :func:`gru_run` derives the weights'."""
     z, r, c, rh, h = saved
     gc = g * z * (1.0 - c * c)
     d_rh = gc @ u_c.T
@@ -59,7 +63,7 @@ def _step_backward(g: np.ndarray, saved: tuple, u_zr: np.ndarray, u_c: np.ndarra
     gz = g * (c - h) * z * (1.0 - z)
     dhu = np.concatenate([gz, gr], axis=1)
     dh = g * (1.0 - z) + d_rh * r + dhu @ u_zr.T
-    return np.concatenate([dhu, gc], axis=1), dh, h.T @ dhu, rh.T @ gc
+    return np.concatenate([dhu, gc], axis=1), dh
 
 
 def gru_run(
@@ -82,7 +86,8 @@ def gru_run(
 
     Fusing the time loop keeps the tape at one node per layer run
     instead of ~20 per token; the backward rule replays the loop in
-    reverse and is exercised by the finite-difference suite.
+    reverse and is exercised by the finite-difference suite. The recurrent
+    weights' gradients are then one GEMM each over all steps' inputs.
     """
     x_proj = ad._as_tensor(x_proj)
     u_zr, u_c = ad._as_tensor(u_zr), ad._as_tensor(u_c)
@@ -91,40 +96,46 @@ def gru_run(
         raise ad.DimensionError(
             f"gru_run: x_proj {x_proj.shape} does not match T={seq_len}, B={batch}, H={hidden}"
         )
+    if step_mask is not None and np.shape(step_mask) != (seq_len, batch):
+        raise ad.DimensionError(
+            f"gru_run: step_mask {np.shape(step_mask)} is not (T, B) = {(seq_len, batch)}"
+        )
     order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    # the steps where some sequence is padding; the rest take the plain update
+    keep = None if step_mask is None else np.asarray(step_mask, dtype=bool)[:, :, None]
+    partial = np.zeros(seq_len, bool) if keep is None else ~keep.all(axis=(1, 2))
     xp = x_proj.data
     uzr, uc = u_zr.data, u_c.data
     h = np.zeros((batch, hidden))
     out = np.empty((seq_len * batch, hidden))
     saved: list[tuple] = [()] * seq_len
-    masks: list[np.ndarray | None] = [None] * seq_len
+    # hold step values only for a backward pass: holding them halves forward speed at B >= 16
+    record = ad.Tape.current is not None
     for t in order:
         rows = slice(t * batch, (t + 1) * batch)
-        h_new, saved[t] = _step(xp[rows], h, uzr, uc)
-        if step_mask is not None and not step_mask[t].all():
-            m = masks[t] = step_mask[t][:, None]
-            h = m * h_new + (1.0 - m) * h
-        else:
-            h = h_new
+        h_new, step_saved = _step(xp[rows], h, uzr, uc)
+        if record:
+            saved[t] = step_saved
+        h = np.where(keep[t], h_new, h) if partial[t] else h_new
         out[rows] = h
 
     def backward(g):
         dxs = np.empty_like(xp)
-        du_zr = np.zeros_like(uzr)
-        du_c = np.zeros_like(uc)
         dh_carry = np.zeros((batch, hidden))
         for t in reversed(order):
             rows = slice(t * batch, (t + 1) * batch)
             g_t = g[rows] + dh_carry
-            m = masks[t]
-            dxs[rows], dh, du_zr_t, du_c_t = _step_backward(
-                g_t if m is None else g_t * m, saved[t], uzr, uc
-            )
-            du_zr += du_zr_t
-            du_c += du_c_t
-            # a masked step passed its input state straight through
-            dh_carry = dh if m is None else dh + g_t * (1.0 - m)
-        return dxs, du_zr, du_c
+            if partial[t]:
+                dxs[rows], dh = _step_backward(np.where(keep[t], g_t, 0.0), saved[t], uzr, uc)
+                # a masked step passed its input state straight through
+                dh_carry = np.where(keep[t], dh, g_t)
+            else:
+                dxs[rows], dh_carry = _step_backward(g_t, saved[t], uzr, uc)
+        # step t read the state written at the step before it (zero at the first)
+        n = (seq_len - 1) * batch
+        h_in, d_in = (out[batch:], dxs[:n]) if reverse else (out[:n], dxs[batch:])
+        rh = np.array([s[3] for s in saved]).reshape(seq_len * batch, hidden)
+        return dxs, h_in.T @ d_in[:, : 2 * hidden], rh.T @ dxs[:, 2 * hidden :]
 
     return ad._node(out, (x_proj, u_zr, u_c), backward, "gru_run")
 

@@ -1,4 +1,7 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, and a
+stand-in sweep point for ``etp sweep``'s worker processes."""
+
+import os
 
 import numpy as np
 
@@ -46,3 +49,13 @@ def param_group(model, prefix):
     """A model's parameters whose flat names start with ``prefix``
     (``enc.``, ``exp.`` or ``task.``)."""
     return {k: p for k, p in model.parameters().items() if k.startswith(prefix)}
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env_point(payload: dict) -> dict:
+    """A sweep point that trains nothing and reports, in its ``error``
+    cell, the BLAS thread variables of the process it ran in. It lives in
+    an importable module so that a spawned worker can unpickle it."""
+    return {"lambda": payload["lam"], "error": " ".join(str(os.getenv(v)) for v in BLAS_VARS)}

@@ -209,6 +209,61 @@ def ref_span_loss(p_start, p_end, doc_sublen, doc_spans):
     return ad.mul(total, 1.0 / B)
 
 
+def ref_sigmoid(x):
+    """The logistic function in its branch-on-sign form."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ref_gru_run(xp, u_zr, u_c, seq_len, batch, step_mask, reverse, g):
+    """A GRU time loop and its backward replay on plain arrays.
+
+    Same recurrence as ``rnn.gru_run``, written as the arithmetic blend
+    (1-z)*h + z*c, a masked step mixing new and old state as
+    m*h_new + (1-m)*h, and the recurrent weights' gradients summed as
+    two small GEMMs per step. Returns the (T*B, H) output and the
+    gradients of sum(out * g) with respect to ``xp``, ``u_zr`` and ``u_c``.
+    """
+    hidden = u_c.shape[0]
+    order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    h = np.zeros((batch, hidden))
+    out = np.empty((seq_len * batch, hidden))
+    saved = {}
+    for t in order:
+        rows = slice(t * batch, (t + 1) * batch)
+        xs = xp[rows]
+        zr = ref_sigmoid(xs[:, : 2 * hidden] + h @ u_zr)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        rh = r * h
+        c = np.tanh(xs[:, 2 * hidden :] + rh @ u_c)
+        h_new = (1.0 - z) * h + z * c
+        m = np.ones((batch, 1)) if step_mask is None else step_mask[t][:, None]
+        saved[t] = (z, r, c, rh, h, m)
+        h = m * h_new + (1.0 - m) * h
+        out[rows] = h
+
+    dxs = np.empty_like(xp)
+    du_zr = np.zeros_like(u_zr)
+    du_c = np.zeros_like(u_c)
+    dh_carry = np.zeros((batch, hidden))
+    for t in reversed(order):
+        rows = slice(t * batch, (t + 1) * batch)
+        z, r, c, rh, h, m = saved[t]
+        g_t = g[rows] + dh_carry
+        g_step = g_t * m
+        gc = g_step * z * (1.0 - c * c)
+        d_rh = gc @ u_c.T
+        gr = d_rh * h * r * (1.0 - r)
+        gz = g_step * (c - h) * z * (1.0 - z)
+        dhu = np.concatenate([gz, gr], axis=1)
+        dh = g_step * (1.0 - z) + d_rh * r + dhu @ u_zr.T
+        dxs[rows] = np.concatenate([dhu, gc], axis=1)
+        du_zr += h.T @ dhu
+        du_c += rh.T @ gc
+        dh_carry = dh + g_t * (1.0 - m)
+    return out, dxs, du_zr, du_c
+
+
 def keep_mask_closure(state, instance):
     """predict_proba(keep) closure for the per-instance metric functions:
     one predictor pass over ``instance`` with the words outside ``keep``

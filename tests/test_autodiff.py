@@ -10,6 +10,25 @@ from etp.optim import Adam, OptimizerError
 from etp.rnn import _step, gru_sequence, init_gru
 
 from helpers import fd_check
+from reference import ref_sigmoid
+
+
+class TestSigmoid:
+    X = np.array([-1e3, -40.0, -1.0, 0.0, 1.0, 40.0, 1e3])
+
+    def test_extremes_raise_nothing_and_stay_in_range(self):
+        x = self.X.copy()
+        with np.errstate(all="raise"):
+            out = ad.sigmoid(Tensor(x)).data
+            mirrored = ad.sigmoid(Tensor(-x)).data
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[3] == 0.5
+        assert np.all(np.abs(out + mirrored - 1.0) <= 2 * np.spacing(1.0))
+        np.testing.assert_array_equal(x, self.X)
+
+    def test_matches_branch_on_sign_form(self):
+        x = np.linspace(-50.0, 50.0, 20001)
+        np.testing.assert_allclose(ad.sigmoid(Tensor(x)).data, ref_sigmoid(x), rtol=0, atol=1e-15)
 
 
 class TestForwardBasics:

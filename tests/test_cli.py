@@ -13,6 +13,8 @@ from etp import cli, metrics, pipeline
 from etp.data import load_jsonl
 from etp.pipeline import TrainConfig
 
+from helpers import BLAS_VARS, blas_env_point
+
 TINY_TRAIN = dict(
     epochs="2",
     patience="2",
@@ -534,6 +536,25 @@ class TestSweep:
         assert row["lambda"] == 1.0 and row["error"]
         (record,) = [r for r in caplog.records if r.name == "etp.cli"]
         assert record.exc_info is not None
+
+    def _worker_env(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_point", blas_env_point)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--data", str(tmp_path), "--out", str(out), "--grid", "1,2"]
+        cli.main(argv + ["--workers", "2"])
+        with open(out / "sweep.csv", newline="") as fh:
+            return [row["error"] for row in csv.DictReader(fh)]
+
+    def test_pool_workers_get_one_blas_thread(self, tmp_path, monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert self._worker_env(tmp_path, monkeypatch) == ["1 1 1", "1 1 1"]
+
+    def test_pool_workers_keep_the_users_thread_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        assert self._worker_env(tmp_path, monkeypatch) == ["2 1 3", "2 1 3"]
 
 
 class TestParser:

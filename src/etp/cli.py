@@ -33,6 +33,7 @@ from .data import (
     generate_synthetic,
     load_dataset,
     load_jsonl,
+    read_json_objects,
     write_dataset,
 )
 from .pipeline import (
@@ -180,17 +181,17 @@ def cmd_train(args) -> int:
 # predict / eval
 
 
-def _load_eval_instances(data_path, label_map):
+def _load_eval_instances(data_path, label_map=None):
+    """(instances, label map) of one JSONL split; the map defaults to the split's own."""
     data_path = Path(data_path)
     if data_path.is_dir():
         raise DataError(f"--data must point at a JSONL split file, got directory {data_path}")
-    instances, _ = load_jsonl(data_path, label_map)
-    return instances
+    return load_jsonl(data_path, label_map)
 
 
 def cmd_predict(args) -> int:
     state = pipeline.load_run(args.run)
-    instances = _load_eval_instances(args.data, state.label_map)
+    instances, _ = _load_eval_instances(args.data, state.label_map)
     results = pipeline.infer_many(state, instances)
     pipeline.write_predictions(args.out, state, results)
     logger.info("wrote %d predictions to %s", len(results), args.out)
@@ -199,26 +200,16 @@ def cmd_predict(args) -> int:
 
 def read_predictions(path) -> dict[str, dict]:
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: line is not a JSON object")
-            for key in ("id", "rationale"):
-                if key not in obj:
-                    raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            uid = obj["id"]
-            if not isinstance(uid, str):
-                raise DataError(f"{path}:{lineno}: 'id' must be a string")
-            if uid in out:
-                raise DataError(f"{path}:{lineno}: duplicate id {uid!r}")
-            out[uid] = obj
+    for lineno, obj in read_json_objects(path):
+        for key in ("id", "rationale"):
+            if key not in obj:
+                raise DataError(f"{path}:{lineno}: missing field {key!r}")
+        uid = obj["id"]
+        if not isinstance(uid, str):
+            raise DataError(f"{path}:{lineno}: 'id' must be a string")
+        if uid in out:
+            raise DataError(f"{path}:{lineno}: duplicate id {uid!r}")
+        out[uid] = obj
     return out
 
 
@@ -239,11 +230,7 @@ def cmd_eval(args) -> int:
         logger.error("eval needs --run and/or --predictions")
         return 1
     state = pipeline.load_run(args.run) if args.run else None
-    label_map = state.label_map if state else None
-    if label_map is None:
-        instances, label_map = load_jsonl(args.data)
-    else:
-        instances = _load_eval_instances(args.data, label_map)
+    instances, label_map = _load_eval_instances(args.data, state.label_map if state else None)
     if args.predictions:
         report = _score_predictions(instances, read_predictions(args.predictions), label_map, state)
     else:

@@ -31,9 +31,13 @@ __all__ = [
     "Batch",
     "subtokenize",
     "build_label_map",
+    "save_label_map",
+    "load_label_map",
+    "read_json_objects",
     "load_jsonl",
     "save_jsonl",
     "generate_synthetic",
+    "build_vocab",
     "write_dataset",
     "load_dataset",
     "batchify",
@@ -168,12 +172,36 @@ def build_label_map(raw_labels) -> dict[str, int]:
     return {k: i for i, k in enumerate(keys)}
 
 
+def save_label_map(path, label_map: dict[str, int]) -> None:
+    Path(path).write_text(json.dumps(label_map, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_label_map(path) -> dict[str, int]:
+    return {str(k): int(v) for k, v in json.loads(Path(path).read_text()).items()}
+
+
+def read_json_objects(path):
+    """Yield (line number, object) for every nonblank line of a JSONL
+    file; a line that is not a JSON object raises DataError naming
+    ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: line is not a JSON object")
+            yield lineno, obj
+
+
 def _parse_line(obj: dict, lineno: int, path: str) -> tuple:
     def fail(msg: str):
         raise DataError(f"{path}:{lineno}: {msg}")
 
-    if not isinstance(obj, dict):
-        fail("line is not a JSON object")
     for key in ("id", "document", "label", "evidences"):
         if key not in obj:
             fail(f"missing field {key!r}")
@@ -210,17 +238,7 @@ def load_jsonl(path, label_map: dict[str, int] | None = None):
     seen in this file and returned for reuse on the other splits.
     """
     path = Path(path)
-    parsed = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            parsed.append(_parse_line(obj, lineno, str(path)))
+    parsed = [_parse_line(obj, lineno, str(path)) for lineno, obj in read_json_objects(path)]
     if label_map is None:
         label_map = build_label_map(raw for _, _, _, raw, _ in parsed)
     instances = []
@@ -364,21 +382,25 @@ def generate_synthetic(spec: SyntheticSpec, n: int, n_val: int | None = None, n_
 # dataset directories
 
 
+def build_vocab(instances, wildcard: str = ".", mode: str = "word") -> Vocabulary:
+    """The vocabulary of the sub-tokens of the instances' documents and queries."""
+    corpus = [
+        sub
+        for inst in instances
+        for word in inst.document + (inst.query or [])
+        for sub in subtokenize(word, mode)
+    ]
+    return Vocabulary.build(corpus, wildcard=wildcard)
+
+
 def write_dataset(outdir, splits: dict, label_map: dict[str, int], wildcard: str = ".") -> None:
     """Write split JSONLs, the training-split vocabulary, and the label map."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, instances in splits.items():
         save_jsonl(outdir / f"{name}.jsonl", instances)
-    corpus = []
-    for inst in splits["train"]:
-        corpus.extend(inst.document)
-        if inst.query:
-            corpus.extend(inst.query)
-    Vocabulary.build(corpus, wildcard=wildcard).save(outdir / "vocab.txt")
-    (outdir / "labels.json").write_text(
-        json.dumps(label_map, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    build_vocab(splits["train"], wildcard).save(outdir / "vocab.txt")
+    save_label_map(outdir / "labels.json", label_map)
 
 
 @dataclass
@@ -395,9 +417,7 @@ class Dataset:
 def load_dataset(datadir) -> Dataset:
     datadir = Path(datadir)
     labels_path = datadir / "labels.json"
-    label_map = None
-    if labels_path.exists():
-        label_map = {str(k): int(v) for k, v in json.loads(labels_path.read_text()).items()}
+    label_map = load_label_map(labels_path) if labels_path.exists() else None
     splits = {}
     for name in ("train", "val", "test"):
         path = datadir / f"{name}.jsonl"
@@ -406,11 +426,7 @@ def load_dataset(datadir) -> Dataset:
     if "train" not in splits:
         raise DataError(f"{datadir}: no train.jsonl found")
     vocab_path = datadir / "vocab.txt"
-    if vocab_path.exists():
-        vocab = Vocabulary.load(vocab_path)
-    else:
-        corpus = [t for inst in splits["train"] for t in inst.document + (inst.query or [])]
-        vocab = Vocabulary.build(corpus)
+    vocab = Vocabulary.load(vocab_path) if vocab_path.exists() else build_vocab(splits["train"])
     return Dataset(splits=splits, label_map=label_map, vocab=vocab)
 
 
@@ -438,7 +454,6 @@ class Batch:
     doc_targets: list[np.ndarray]
     word_groups: list[list[tuple[int, int]]]
     gold_spans: list[list[tuple[int, int]]]
-    word_counts: list[int]
     instances: list[Instance]
 
     @property
@@ -473,7 +488,7 @@ def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str)
     spans = [
         (s, min(e, kept_words)) for s, e in inst.rationale_spans if s < kept_words
     ]
-    return prefix, doc_sub, groups, spans, kept_words
+    return prefix, doc_sub, groups, spans
 
 
 def batchify(
@@ -497,8 +512,8 @@ def batchify(
         doc_mask = np.zeros((bsz, seq_len))
         doc_start = np.zeros(bsz, dtype=np.int64)
         doc_sublen = np.zeros(bsz, dtype=np.int64)
-        doc_rows, doc_targets, all_groups, all_spans, counts = [], [], [], [], []
-        for b, (inst, (prefix, doc_sub, groups, spans, kept)) in enumerate(
+        doc_rows, doc_targets, all_groups, all_spans = [], [], [], []
+        for b, (inst, (prefix, doc_sub, groups, spans)) in enumerate(
             zip(chunk, layouts)
         ):
             seq = prefix + doc_sub
@@ -509,14 +524,13 @@ def batchify(
             doc_start[b] = start
             doc_sublen[b] = len(doc_sub)
             doc_rows.append((np.arange(len(doc_sub)) + start) * bsz + b)
-            word_mask = inst.rationale_mask[:kept]
+            word_mask = inst.rationale_mask[: len(groups)]
             targets = np.zeros(len(doc_sub))
             for w, (gs, ge) in enumerate(groups):
                 targets[gs:ge] = word_mask[w]
             doc_targets.append(targets)
             all_groups.append(groups)
             all_spans.append(spans)
-            counts.append(kept)
         batches.append(
             Batch(
                 ids=ids,
@@ -529,7 +543,6 @@ def batchify(
                 doc_targets=doc_targets,
                 word_groups=all_groups,
                 gold_spans=all_spans,
-                word_counts=counts,
                 instances=list(chunk),
             )
         )

@@ -27,7 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, metrics
 from .autodiff import Tape, Tensor
-from .data import Batch, DataError, Dataset, Instance, Vocabulary, batchify, subtokenize
+from .data import Batch, DataError, Dataset, Instance, Vocabulary, batchify, build_vocab
+from .data import load_label_map, save_label_map
 from .models import (
     ExplainerModel,
     ModelConfig,
@@ -115,7 +116,7 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         return self
 
-    def model_config(self, vocab_size: int, num_classes: int, span_len: int) -> ModelConfig:
+    def model_config(self, vocab_size: int, num_classes: int, span_len: int = 512) -> ModelConfig:
         return ModelConfig(
             vocab_size=vocab_size,
             num_classes=num_classes,
@@ -174,37 +175,6 @@ class InferResult:
 
 
 # ---------------------------------------------------------------------------
-# vocabulary under the configured sub-token mode
-
-
-def build_vocab(train_instances, cfg: TrainConfig) -> Vocabulary:
-    corpus = []
-    for inst in train_instances:
-        for word in inst.document + (inst.query or []):
-            corpus.extend(subtokenize(word, cfg.subtoken_mode))
-    return Vocabulary.build(corpus, wildcard=cfg.wildcard)
-
-
-def _ensure_vocab(dataset_vocab: Vocabulary | None, train, cfg: TrainConfig) -> Vocabulary:
-    if (
-        dataset_vocab is not None
-        and cfg.subtoken_mode == "word"
-        and dataset_vocab.wildcard == cfg.wildcard
-    ):
-        return dataset_vocab
-    return build_vocab(train, cfg)
-
-
-def _span_len(instances_groups, cfg: TrainConfig) -> int:
-    longest = 1
-    for insts in instances_groups:
-        for inst in insts:
-            n = sum(len(subtokenize(w, cfg.subtoken_mode)) for w in inst.document)
-            longest = max(longest, n)
-    return min(longest, cfg.max_len)
-
-
-# ---------------------------------------------------------------------------
 # forward helpers
 
 
@@ -237,23 +207,11 @@ def _predict_probs(model, batches: list[Batch]) -> np.ndarray:
     )
 
 
-@dataclass
-class _Explanation:
-    """The explainer's answers for one document: the auxiliary class and
-    probabilities, and the rationale as word scores, a hard mask and
-    spans. Scores and mask cover the whole document; words dropped by
-    truncation score 0."""
-
-    label: int
-    probs: np.ndarray
-    scores: np.ndarray
-    mask: np.ndarray
-    spans: list[tuple[int, int]]
-
-
-def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> list[_Explanation]:
+def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> list[InferResult]:
     """One eval-mode explainer pass: each batch is encoded once and both
-    heads read that encoding."""
+    heads read that encoding. The results carry the auxiliary head's
+    label and probabilities; masks and scores cover the whole document,
+    and words dropped by truncation score 0."""
     out = []
     for batch in batches:
         enc = model.encode(batch.ids, batch.pad_mask)
@@ -278,13 +236,13 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
                     length=int(head_len[b]),
                 )
                 spans = subtoken_spans_to_words(spans_sub, batch.word_groups[b])
-                hard = metrics.spans_to_mask(spans, batch.word_counts[b])
+                hard = metrics.spans_to_mask(spans, len(batch.word_groups[b]))
                 word_scores = hard.astype(np.float64)
             mask = np.zeros(len(inst.document), dtype=np.int8)
             mask[: len(hard)] = hard
             scores = np.zeros(len(inst.document))
             scores[: len(word_scores)] = word_scores
-            out.append(_Explanation(int(probs[b].argmax()), probs[b], scores, mask, spans))
+            out.append(InferResult(inst.uid, int(probs[b].argmax()), probs[b], mask, spans, scores))
     return out
 
 
@@ -296,10 +254,10 @@ def _validation_scores(model, batches, cfg, num_classes, stage: int):
         return metrics.macro_f1(pred, gold, num_classes), None
     explained = _explain(model, batches, cfg)
     macro = metrics.macro_f1(np.array([e.label for e in explained]), gold, num_classes)
-    counts = [n for b in batches for n in b.word_counts]
+    counts = [len(groups) for b in batches for groups in b.word_groups]
     instances = [inst for b in batches for inst in b.instances]
     token = metrics.token_prf_dataset(
-        [e.mask[:n] for e, n in zip(explained, counts)],
+        [e.rationale_mask[:n] for e, n in zip(explained, counts)],
         [np.asarray(inst.rationale_mask[:n]) for inst, n in zip(instances, counts)],
     )["f1"]
     return macro, token
@@ -335,15 +293,14 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
                 probs = model.predict_task(enc, train=True, dropout_rng=dropout_rng)
                 l_task = losses.task_loss(probs, batch.labels)
                 if stage == 1:
-                    l_exp = _exp_loss(model, enc, batch, cfg)
-                    bd = losses.combined_loss(l_task, l_exp, cfg.lam)
+                    bd = losses.combined_loss(l_task, _exp_loss(model, enc, batch, cfg), cfg.lam)
+                    values, total = bd.values(), bd.total
                 else:
-                    bd = losses.combined_loss(l_task, Tensor(0.0), 0.0)
-                values = bd.values()
+                    values, total = (l_task.item(), 0.0, l_task.item()), l_task
                 if not np.isfinite(values).all():
                     diverged = True
                     break
-                tape.backward(bd.total)
+                tape.backward(total)
             try:
                 opt.step()
             except OptimizerError:
@@ -389,8 +346,13 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
 def train_explainer(train, val, cfg: TrainConfig, vocab: Vocabulary, num_classes: int):
     """Phase-one multi-task training; returns the best-epoch explainer."""
     cfg.validate()
-    span_len = _span_len((train, val), cfg) if cfg.head == "span" else 512
-    model = ExplainerModel(cfg.model_config(len(vocab), num_classes, span_len), seed=cfg.seed)
+    model_cfg = cfg.model_config(len(vocab), num_classes)
+    if cfg.head == "span":
+        # the span head is as long as the longest laid-out train or val document
+        model_cfg.span_len = max(
+            int(b.doc_sublen.max()) for b in _batches([*train, *val], vocab, cfg)
+        )
+    model = ExplainerModel(model_cfg, seed=cfg.seed)
     return _train_loop(model, train, val, cfg, vocab, num_classes, stage=1)
 
 
@@ -416,7 +378,7 @@ def train_predictor(masked_train, masked_val, cfg: TrainConfig, vocab: Vocabular
     if not masked_train:
         raise PipelineError("stage 2 cannot proceed on an empty training set")
     model = PredictorModel(
-        cfg.model_config(len(vocab), num_classes, 512), seed=cfg.seed + _PREDICTOR_SEED_OFFSET
+        cfg.model_config(len(vocab), num_classes), seed=cfg.seed + _PREDICTOR_SEED_OFFSET
     )
     return _train_loop(model, masked_train, masked_val, cfg, vocab, num_classes, stage=2)
 
@@ -427,14 +389,16 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
     val = dataset.splits.get("val")
     if not val:
         raise PipelineError("pipeline needs a validation split")
-    vocab = _ensure_vocab(dataset.vocab, train, cfg)
+    vocab = dataset.vocab
+    if cfg.subtoken_mode != "word" or vocab.wildcard != cfg.wildcard:
+        vocab = build_vocab(train, cfg.wildcard, cfg.subtoken_mode)
     num_classes = dataset.num_classes
     explainer, hist1 = train_explainer(train, val, cfg, vocab, num_classes)
     train_exp = _explain(explainer, _batches(train, vocab, cfg), cfg)
     val_exp = _explain(explainer, _batches(val, vocab, cfg), cfg)
     # masking commutes with the filter: it keeps the label of every document
     masked_train = filter_training_instances(
-        build_masked_dataset(train, [e.mask for e in train_exp], cfg.wildcard), train_exp
+        build_masked_dataset(train, [e.rationale_mask for e in train_exp], cfg.wildcard), train_exp
     )
     kept, total = Counter(i.label for i in masked_train), Counter(i.label for i in train)
     classes = sorted(dataset.label_map.items(), key=lambda kv: kv[1])
@@ -447,7 +411,7 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
     starved = [f"class {raw}" for raw, c in classes if not kept[c]]
     if starved:
         logger.warning("auxiliary filter kept no training instance of %s", ", ".join(starved))
-    masked_val = build_masked_dataset(val, [e.mask for e in val_exp], cfg.wildcard)
+    masked_val = build_masked_dataset(val, [e.rationale_mask for e in val_exp], cfg.wildcard)
     predictor, hist2 = train_predictor(masked_train, masked_val, cfg, vocab, num_classes)
     return PipelineState(
         explainer=explainer,
@@ -480,11 +444,8 @@ def infer_many(state: PipelineState, instances) -> list[InferResult]:
     score 0).
     """
     explained = _explain(state.explainer, _batches(instances, state.vocab, state.cfg), state.cfg)
-    probs = _predict_masked(state, instances, [e.mask for e in explained])
-    return [
-        InferResult(inst.uid, int(p.argmax()), p, e.mask, e.spans, e.scores)
-        for inst, p, e in zip(instances, probs, explained)
-    ]
+    probs = _predict_masked(state, instances, [e.rationale_mask for e in explained])
+    return [replace(e, label=int(p.argmax()), probs=p) for p, e in zip(probs, explained)]
 
 
 def infer(state: PipelineState, instance: Instance) -> InferResult:
@@ -525,6 +486,20 @@ def _prediction_record(state: PipelineState, res: InferResult) -> dict:
     }
 
 
+def _finite_array(uid: str, name: str, values) -> np.ndarray:
+    """A prediction record's ``name`` field as float64; anything but an
+    array of finite numbers raises DataError naming the record."""
+    arr = None
+    if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer past the float64 range
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        raise DataError(f"prediction {uid}: {name} must be an array of finite numbers")
+    return arr
+
+
 def score_report(instances, predictions, label_map, faith=None) -> metrics.MetricsReport:
     """The metric battery over one prediction record per instance.
 
@@ -544,9 +519,12 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
         if str(raw) not in label_map:
             raise DataError(f"prediction {inst.uid}: unknown label {raw!r}")
         labels.append(label_map[str(raw)])
-        mask = np.asarray(rec["rationale"], dtype=np.int8)
+        mask = _finite_array(inst.uid, "rationale", rec["rationale"])
         if mask.shape != (n,):
             raise DataError(f"prediction {inst.uid}: rationale length mismatch")
+        if not np.isin(mask, (0, 1)).all():
+            raise DataError(f"prediction {inst.uid}: rationale entries must be 0 or 1")
+        mask = mask.astype(np.int8)
         masks.append(mask)
         try:
             raw_spans = rec.get("spans", metrics.mask_to_spans(mask))
@@ -560,8 +538,9 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
                     f"or outside [0, {n}]"
                 )
         spans.append(inst_spans)
-        raw_scores = rec.get("scores")
-        inst_scores = np.asarray(mask if raw_scores is None else raw_scores, dtype=np.float64)
+        inst_scores = mask.astype(np.float64)
+        if rec.get("scores") is not None:
+            inst_scores = _finite_array(inst.uid, "scores", rec["scores"])
         if inst_scores.shape != (n,):
             raise DataError(f"prediction {inst.uid}: {inst_scores.size} scores for {n} words")
         scores.append(inst_scores)
@@ -693,9 +672,7 @@ def save_run(run_dir, state: PipelineState, report: metrics.MetricsReport | None
     state.explainer.save(run_dir / "explainer.npz")
     state.predictor.save(run_dir / "predictor.npz")
     state.vocab.save(run_dir / "vocab.txt")
-    (run_dir / "labels.json").write_text(
-        json.dumps(state.label_map, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_label_map(run_dir / "labels.json", state.label_map)
     _write_history_csv(run_dir / "stage1_metrics.csv", state.stage1)
     _write_history_csv(run_dir / "stage2_metrics.csv", state.stage2)
     if report is not None:
@@ -712,9 +689,6 @@ def load_run(run_dir) -> PipelineState:
     explainer = ExplainerModel.load(run_dir / "explainer.npz")
     predictor = PredictorModel.load(run_dir / "predictor.npz")
     vocab = Vocabulary.load(run_dir / "vocab.txt")
-    label_map = {
-        str(k): int(v) for k, v in json.loads((run_dir / "labels.json").read_text()).items()
-    }
     return PipelineState(
         explainer=explainer,
         predictor=predictor,
@@ -722,5 +696,5 @@ def load_run(run_dir) -> PipelineState:
         stage2=TrainHistory(),
         cfg=cfg,
         vocab=vocab,
-        label_map=label_map,
+        label_map=load_label_map(run_dir / "labels.json"),
     )

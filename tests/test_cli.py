@@ -4,13 +4,14 @@ contents, and CLI-vs-API agreement."""
 import csv
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from etp import cli, metrics, pipeline
-from etp.data import load_jsonl
+from etp.data import DataError, load_jsonl
 from etp.pipeline import TrainConfig
 
 from helpers import BLAS_VARS, blas_env_point
@@ -339,6 +340,11 @@ class TestPredictAndEval:
             ("spans", [[3, 1]], "span"),
             ("spans", [[0, 99]], "span"),
             ("spans", [[None, 2]], "span"),
+            # a callable gives the field's value from the document length
+            ("rationale", lambda n: [0.5, 1] + [0] * (n - 2), "rationale entries must be 0 or 1"),
+            ("rationale", lambda n: [2, 1] + [0] * (n - 2), "rationale entries must be 0 or 1"),
+            ("scores", lambda n: [None, 1] + [0] * (n - 2), "scores must be an array of finite"),
+            ("scores", lambda n: ["a", 1] + [0] * (n - 2), "scores must be an array of finite"),
         ],
         ids=[
             "unknown-label",
@@ -347,6 +353,10 @@ class TestPredictAndEval:
             "inverted-span",
             "span-past-end",
             "span-not-a-pair",
+            "rationale-fraction",
+            "rationale-two",
+            "scores-null",
+            "scores-string",
         ],
     )
     def test_bad_prediction_is_data_error_naming_id(
@@ -363,7 +373,7 @@ class TestPredictAndEval:
                     "rationale": [int(v) for v in inst.rationale_mask],
                 }
                 if inst.uid == bad_uid:
-                    obj[field] = value
+                    obj[field] = value(len(inst.document)) if callable(value) else value
                     if value is None:
                         del obj[field]
                 fh.write(json.dumps(obj) + "\n")
@@ -381,6 +391,14 @@ class TestPredictAndEval:
         assert rc == 1
         assert f"prediction {bad_uid}: " in caplog.text
         assert message in caplog.text
+
+    @pytest.mark.parametrize("with_run", [False, True], ids=["predictions", "run"])
+    def test_data_directory_is_clear_error(self, tmp_path, run_dir, data_dir, caplog, with_run):
+        run = ["--run", str(run_dir)] if with_run else []
+        rc = cli.main(["eval", *run, "--data", str(data_dir), "--predictions",
+                       str(run_dir / "predictions.jsonl"), "--out", str(tmp_path / "e")])
+        assert rc == 1
+        assert "--data must point at a JSONL split file" in caplog.text
 
     def test_missing_run_dir_is_clear_error(self, tmp_path, data_dir):
         rc = cli.main(
@@ -422,6 +440,32 @@ class TestPredictAndEval:
                        "--predictions", str(preds_path), "--out", str(tmp_path / "e")])
         assert rc == 1
         assert f"{preds_path}:3: {message}" in caplog.text
+
+    @pytest.mark.parametrize("reader", ["load_jsonl", "read_predictions"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "invalid JSON"),
+            ("5", "line is not a JSON object"),
+            ('["a", [0]]', "line is not a JSON object"),
+            ("", None),
+        ],
+        ids=["invalid-json", "number", "array", "blank"],
+    )
+    def test_both_jsonl_readers_share_line_handling(self, tmp_path, reader, line, message):
+        # one record that fits both the dataset and the predictions schema
+        def record(uid):
+            return json.dumps({"id": uid, "document": ["w"], "label": 0, "evidences": [],
+                               "rationale": [0]})
+
+        path = tmp_path / "lines.jsonl"
+        path.write_text("\n".join([record("a"), line, record("b")]) + "\n")
+        read = {"load_jsonl": lambda p: load_jsonl(p)[0], "read_predictions": cli.read_predictions}
+        if message is None:
+            assert len(read[reader](path)) == 2
+        else:
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: {message}"):
+                read[reader](path)
 
     def test_swapped_checkpoints_are_clear_error(self, tmp_path, run_dir, data_dir, caplog):
         swapped = tmp_path / "run"

@@ -251,7 +251,7 @@ class TestBatchify:
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 1, vocab, max_len=6)
         assert batch.ids.shape[1] == 6
-        assert batch.word_counts == [4]  # q, sep, then 4 document words
+        assert len(batch.word_groups[0]) == 4  # q, sep, then 4 document words
         assert batch.ids[0, 0] == vocab.index["q"]
         assert batch.gold_spans[0] == [(0, 2)]
 

@@ -43,7 +43,7 @@ def explain(model, instances, vocab, cfg):
 
 
 def masked_dataset(model, instances, vocab, cfg):
-    masks = [e.mask for e in explain(model, instances, vocab, cfg)]
+    masks = [e.rationale_mask for e in explain(model, instances, vocab, cfg)]
     return build_masked_dataset(instances, masks, cfg.wildcard)
 
 
@@ -137,6 +137,15 @@ class TestTrainExplainer:
         )
         assert model.cfg.head == "span"
         assert history.epochs[0].val_token_f1 is not None
+
+    def test_span_head_is_as_long_as_the_longest_laid_out_document(self):
+        # a one-word query and its separator leave 8 of max_len 10 to the document
+        dataset = tiny_dataset(pair=True)
+        cfg = tiny_train_config(head="span", epochs=1, max_len=10)
+        train, val = dataset.splits["train"], dataset.splits["val"]
+        model, _ = train_explainer(train, val, cfg, dataset.vocab, 2)
+        laid_out = batchify(train + val, cfg.batch_size, dataset.vocab, cfg.max_len)
+        assert model.cfg.span_len == max(int(b.doc_sublen.max()) for b in laid_out) == 8
 
 
 class TestFilter:
@@ -286,6 +295,21 @@ class TestTrainPredictor:
         )
         assert all(e.val_token_f1 is None for e in history.epochs)
 
+    def test_step_records_only_the_task_graph(self, dataset, monkeypatch):
+        nodes = []
+        backward = Tape.backward
+
+        def counting_backward(tape, loss):
+            nodes.append(len(tape.nodes))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        train_predictor(
+            dataset.splits["train"][:4], dataset.splits["val"], tiny_train_config(epochs=1),
+            dataset.vocab, 2,
+        )
+        assert nodes == [24]
+
 
 @pytest.fixture(scope="module")
 def state():
@@ -414,7 +438,7 @@ class TestEndToEnd:
         explained = explain(model, train, dataset.vocab, cfg)
         kept = filter_training_instances(train, explained)
         masked = filter_training_instances(
-            build_masked_dataset(train, [e.mask for e in explained], cfg.wildcard), explained
+            build_masked_dataset(train, [e.rationale_mask for e in explained], cfg.wildcard), explained
         )
         assert [m.uid for m in masked] == [k.uid for k in kept]
         for k, m in zip(kept, masked):

@@ -4,10 +4,14 @@ Every function and class defined in the package (methods and nested
 functions included, dunders excepted) must be referenced somewhere in
 the package besides its own definition: as a name, as an attribute, or
 as an imported name, so a re-export from ``etp/__init__`` counts. Code
-that only the tests call belongs in ``tests/``.
+that only the tests call belongs in ``tests/``. Two more checks keep a
+moved name from leaving a copy or a stale export behind: every name in
+a module's ``__all__`` exists in that module, and no two modules define
+a top-level function or class of the same name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import etp
@@ -40,3 +44,25 @@ def test_every_definition_is_used_inside_the_package():
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     }
     assert not unused, f"defined in src/etp but used only outside it: {unused}"
+
+
+def test_every_exported_name_exists():
+    missing = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "etp" if path.stem == "__init__" else f"etp.{path.stem}"
+        module = importlib.import_module(name)
+        absent = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if absent:
+            missing[name] = absent
+    assert not missing, f"names in __all__ that their module does not define: {missing}"
+
+
+def test_no_two_modules_define_the_same_top_level_name():
+    owners: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owners.setdefault(node.name, []).append(path.name)
+    shared = {name: where for name, where in owners.items() if len(where) > 1}
+    assert not shared, f"top-level names defined in more than one module: {shared}"

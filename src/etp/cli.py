@@ -21,13 +21,14 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
 from . import metrics, pipeline
 from .data import (
+    SUBTOKEN_MODES,
     DataError,
     SyntheticSpec,
     generate_synthetic,
@@ -36,7 +37,10 @@ from .data import (
     read_json_objects,
     write_dataset,
 )
+from .losses import WEIGHTING_MODES
+from .models import ModelOptions
 from .pipeline import (
+    FIELD_TYPES,
     PipelineError,
     TrainConfig,
     coerce_config,
@@ -46,65 +50,40 @@ from .pipeline import (
 
 logger = logging.getLogger("etp.cli")
 
-SWEEP_COLUMNS = [
-    "lambda",
-    "macro_f1",
-    "token_f1",
-    "iou_f1",
-    "auprc",
-    "comprehensiveness",
-    "sufficiency",
-    "criterion",
-    "error",
-]
-
-
-def _config_mapping(args) -> dict[str, str]:
-    if not args.config:
-        return {}
-    return parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
+# a sweep point's validation metrics, by their MetricsReport names
+REPORT_COLUMNS = ["macro_f1", "token_f1", "iou_f1", "auprc", "comprehensiveness", "sufficiency"]
+SWEEP_COLUMNS = ["lambda", *REPORT_COLUMNS, "criterion", "error"]
 
 
 def _train_config(args) -> TrainConfig:
     """Resolve TrainConfig from defaults, then config file, then flags."""
-    mapping = _config_mapping(args)
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    mapping = parse_flat_config(text)
     known = set(TrainConfig.__dataclass_fields__)
     ignored = sorted(set(mapping) - known)
     if ignored:
         logger.warning("config keys that are not training options are ignored: %s", ", ".join(ignored))
     mapping = {k: v for k, v in mapping.items() if k in known}
-    overrides = {}
-    for name in known:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {k: getattr(args, k) for k in known if getattr(args, k, None) is not None}
     return coerce_config(TrainConfig, mapping, **overrides).validate()
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="explanation loss weight")
-    p.add_argument("--head", choices=["token", "span"], default=None)
+    p.add_argument("--head", choices=ModelOptions.HEADS, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None, help="hard-rationale score threshold")
-    p.add_argument(
-        "--exp-weighting",
-        dest="exp_weighting",
-        choices=["inverse_prior", "literal_count", "none"],
-        default=None,
-    )
+    p.add_argument("--exp-weighting", dest="exp_weighting", choices=WEIGHTING_MODES, default=None)
     p.add_argument("--wildcard", default=None)
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--subtokens", dest="subtoken_mode", choices=["word", "char_bigram"], default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    p.add_argument("--enc-hidden", dest="enc_hidden", type=int, default=None)
-    p.add_argument("--enc-layers", dest="enc_layers", type=int, default=None)
-    p.add_argument("--token-gru-hidden", dest="token_gru_hidden", type=int, default=None)
-    p.add_argument("--span-hidden", dest="span_hidden", type=int, default=None)
-    p.add_argument("--task-hidden", dest="task_hidden", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
+    p.add_argument("--subtokens", dest="subtoken_mode", choices=SUBTOKEN_MODES, default=None)
+    for f in fields(ModelOptions):  # the sizes and dropout
+        if f.name != "head":
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=FIELD_TYPES[f.type], default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +106,6 @@ def cmd_gen_data(args) -> int:
     )
     splits, label_map = generate_synthetic(spec, args.n, args.n_val, args.n_test)
     write_dataset(out, splits, label_map)
-    (out / "synthetic_spec.txt").write_text(dump_flat_config(spec), encoding="utf-8")
     logger.info(
         "wrote %s (%d/%d/%d instances)",
         out,
@@ -259,12 +237,7 @@ def _sweep_point(payload: dict) -> dict:
     exp_metric = val_report.auprc if payload["criterion"] == "auprc" else val_report.token_f1
     return {
         "lambda": lam,
-        "macro_f1": val_report.macro_f1,
-        "token_f1": val_report.token_f1,
-        "iou_f1": val_report.iou_f1,
-        "auprc": val_report.auprc,
-        "comprehensiveness": val_report.comprehensiveness,
-        "sufficiency": val_report.sufficiency,
+        **{c: getattr(val_report, c) for c in REPORT_COLUMNS},
         "criterion": metrics.lambda_criterion(val_report.macro_f1, exp_metric),
     }
 
@@ -294,7 +267,11 @@ def cmd_sweep(args) -> int:
         # the points fill every core: one BLAS thread per worker unless the user set a count
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, "1")
-        with ProcessPoolExecutor(args.workers, mp_context=get_context("spawn")) as pool:
+        spawn = get_context("spawn")
+        # a spawned worker starts with unconfigured logging; give it the parent's
+        with ProcessPoolExecutor(
+            args.workers, spawn, initializer=_configure_logging, initargs=(args.verbose,)
+        ) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
@@ -404,13 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _configure_logging(verbose: bool) -> None:
+    """The log level and format of etp and of its sweep workers."""
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    _configure_logging(args.verbose)
     try:
         return args.func(args)
     except (DataError, PipelineError, ValueError, OSError) as exc:

@@ -29,7 +29,9 @@ __all__ = [
     "Vocabulary",
     "SyntheticSpec",
     "Batch",
+    "SUBTOKEN_MODES",
     "subtokenize",
+    "check_layout",
     "build_label_map",
     "save_label_map",
     "load_label_map",
@@ -102,6 +104,9 @@ class Vocabulary:
             raise DataError("vocabulary must start with the 4 reserved tokens")
         if len(set(tokens)) != len(tokens):
             raise DataError("vocabulary contains duplicate tokens")
+        for t in tokens:
+            if "\n" in t or not t:
+                raise DataError(f"token {t!r} cannot be serialized one-per-line")
         self.tokens = list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
         self.pad_id = 0
@@ -131,15 +136,15 @@ class Vocabulary:
         return np.array([self.index.get(t, unk) for t in tokens], dtype=np.int64)
 
     def save(self, path) -> None:
-        for t in self.tokens:
-            if "\n" in t or not t:
-                raise DataError(f"token {t!r} cannot be serialized one-per-line")
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         return cls([ln for ln in lines if ln])
+
+
+SUBTOKEN_MODES = ("word", "char_bigram")
 
 
 def subtokenize(word: str, mode: str = "word") -> list[str]:
@@ -149,13 +154,18 @@ def subtokenize(word: str, mode: str = "word") -> list[str]:
     character bigrams (words of length <= 2 stay whole), which gives the
     word-level score pooling something real to merge.
     """
-    if mode == "word":
-        return [word]
-    if mode == "char_bigram":
-        if len(word) <= 2:
-            return [word]
+    if mode not in SUBTOKEN_MODES:
+        raise DataError(f"unknown subtoken mode {mode!r}; expected one of {SUBTOKEN_MODES}")
+    if mode == "char_bigram" and len(word) > 2:
         return [word[i : i + 2] for i in range(len(word) - 1)]
-    raise ValueError(f"unknown subtoken mode {mode!r}")
+    return [word]
+
+
+def check_layout(max_len: int, mode: str) -> None:
+    """Raise DataError unless documents can be laid out under these settings."""
+    subtokenize("", mode)  # raises on an unknown mode
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +187,15 @@ def save_label_map(path, label_map: dict[str, int]) -> None:
 
 
 def load_label_map(path) -> dict[str, int]:
-    return {str(k): int(v) for k, v in json.loads(Path(path).read_text()).items()}
+    """A label map: a JSON object whose integer values are exactly 0 .. k-1."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc.msg})") from None
+    if not (isinstance(obj, dict) and all(type(v) is int for v in obj.values())
+            and sorted(obj.values()) == list(range(len(obj)))):
+        raise DataError(f"{path}: labels must map each raw label to a class 0 .. k-1")
+    return obj
 
 
 def read_json_objects(path):

@@ -17,7 +17,7 @@ All activations for a batch live in time-major (T*B, dim) matrices; see
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .autodiff import Tensor
 from .metrics import normalize_spans
 
 __all__ = [
+    "ModelOptions",
     "ModelConfig",
     "EncoderOutput",
     "SpanForward",
@@ -44,36 +45,53 @@ __all__ = [
 CHECKPOINT_FORMAT = 1
 
 
-@dataclass
-class ModelConfig:
-    vocab_size: int
-    num_classes: int
+@dataclass(kw_only=True)
+class ModelOptions:
+    """The options of the model family, shared by the explainer and the
+    predictor; each size must be >= 1."""
+
+    HEADS = ("token", "span")
+
     embed_dim: int = 64
     enc_hidden: int = 64
     enc_layers: int = 2
     task_hidden: int = 256
     token_gru_hidden: int = 128
     span_hidden: int = 64
-    span_len: int = 512
     dropout: float = 0.1
     head: str = "token"
+
+    def validate(self) -> "ModelOptions":
+        if self.head not in self.HEADS:
+            raise ValueError(f"unknown head variant {self.head!r}; expected one of {self.HEADS}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for f in fields(ModelOptions):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+        return self
+
+
+@dataclass
+class ModelConfig(ModelOptions):
+    """The options plus the sizes the data sets; the predictor's head is "none"."""
+
+    HEADS = (*ModelOptions.HEADS, "none")
+
+    vocab_size: int
+    num_classes: int
+    span_len: int = 512
 
     @property
     def d_rep(self) -> int:
         return 2 * self.enc_hidden
 
     def validate(self) -> "ModelConfig":
-        if self.head not in ("token", "span", "none"):
-            raise ValueError(f"unknown head variant {self.head!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name in ("vocab_size", "embed_dim", "enc_hidden", "enc_layers", "task_hidden",
-                     "token_gru_hidden", "span_hidden", "span_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        return self
+        if self.vocab_size < 1 or self.span_len < 1:
+            raise ValueError("vocab_size and span_len must be >= 1")
+        return super().validate()
 
 
 @dataclass
@@ -246,8 +264,7 @@ class PredictorModel(_EncoderClassifier):
     kind = "predictor"
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        cfg = ModelConfig(**{**asdict(cfg), "head": "none"})
-        super().__init__(cfg, seed)
+        super().__init__(replace(cfg, head="none"), seed)
 
 
 class ExplainerModel(_EncoderClassifier):
@@ -383,7 +400,7 @@ def pool_subtokens(scores, word_groups) -> np.ndarray:
     return np.array([scores[s:e].max() for s, e in word_groups])
 
 
-def decode_spans(p_start, p_end, threshold: float = 0.5, length: int | None = None):
+def decode_spans(p_start, p_end, threshold: float = 0.5):
     """Greedy interval decoding from the span head's distributions.
 
     Every position whose start probability reaches the threshold opens a
@@ -395,7 +412,7 @@ def decode_spans(p_start, p_end, threshold: float = 0.5, length: int | None = No
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     p_start = np.asarray(p_start, dtype=np.float64)
     p_end = np.asarray(p_end, dtype=np.float64)
-    n = p_start.size if length is None else int(length)
+    n = p_start.size
     spans = []
     for i in range(n):
         if p_start[i] >= threshold:

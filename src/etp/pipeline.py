@@ -28,10 +28,11 @@ from . import autodiff as ad
 from . import losses, metrics
 from .autodiff import Tape, Tensor
 from .data import Batch, DataError, Dataset, Instance, Vocabulary, batchify, build_vocab
-from .data import load_label_map, save_label_map
+from .data import check_layout, load_label_map, save_label_map
 from .models import (
     ExplainerModel,
     ModelConfig,
+    ModelOptions,
     PredictorModel,
     decode_spans,
     mask_input,
@@ -65,6 +66,7 @@ __all__ = [
     "dump_flat_config",
     "parse_flat_config",
     "coerce_config",
+    "FIELD_TYPES",
 ]
 
 logger = logging.getLogger("etp.pipeline")
@@ -78,8 +80,8 @@ class PipelineError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
-    """Knobs for both training phases and the model family."""
+class TrainConfig(ModelOptions):
+    """Knobs for both training phases, after the model family's options."""
 
     lam: float = 5.0
     epochs: int = 10
@@ -88,28 +90,22 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     wildcard: str = "."
-    head: str = "token"
     threshold: float = 0.5
     exp_weighting: str = "inverse_prior"
     max_len: int = 512
     subtoken_mode: str = "word"
-    embed_dim: int = 64
-    enc_hidden: int = 64
-    enc_layers: int = 2
-    task_hidden: int = 256
-    token_gru_hidden: int = 128
-    span_hidden: int = 64
-    dropout: float = 0.1
 
     def validate(self) -> "TrainConfig":
+        """Check every field with the rule's owner; raises ValueError."""
+        super().validate()
+        check_layout(self.max_len, self.subtoken_mode)
+        Vocabulary.build([], self.wildcard)  # raises on a wildcard the vocabulary cannot hold
         if self.epochs < 1 or self.patience < 0 or self.batch_size < 1:
             raise ValueError("epochs >= 1, patience >= 0, batch_size >= 1 required")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.head not in ("token", "span"):
-            raise ValueError(f"unknown explanation head {self.head!r}")
         if self.exp_weighting not in losses.WEIGHTING_MODES:
             raise ValueError(f"unknown exp_weighting {self.exp_weighting!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -117,19 +113,8 @@ class TrainConfig:
         return self
 
     def model_config(self, vocab_size: int, num_classes: int, span_len: int = 512) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            num_classes=num_classes,
-            embed_dim=self.embed_dim,
-            enc_hidden=self.enc_hidden,
-            enc_layers=self.enc_layers,
-            task_hidden=self.task_hidden,
-            token_gru_hidden=self.token_gru_hidden,
-            span_hidden=self.span_hidden,
-            span_len=span_len,
-            dropout=self.dropout,
-            head=self.head,
-        )
+        options = {f.name: getattr(self, f.name) for f in fields(ModelOptions)}
+        return ModelConfig(vocab_size=vocab_size, num_classes=num_classes, span_len=span_len, **options)
 
 
 @dataclass
@@ -231,10 +216,7 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
                 hard = (word_scores >= cfg.threshold).astype(np.int8)
                 spans = metrics.mask_to_spans(hard)
             else:
-                spans_sub = decode_spans(
-                    sf.start_numpy(b), sf.end_numpy(b), threshold=cfg.threshold,
-                    length=int(head_len[b]),
-                )
+                spans_sub = decode_spans(sf.start_numpy(b), sf.end_numpy(b), cfg.threshold)
                 spans = subtoken_spans_to_words(spans_sub, batch.word_groups[b])
                 hard = metrics.spans_to_mask(spans, len(batch.word_groups[b]))
                 word_scores = hard.astype(np.float64)
@@ -452,27 +434,24 @@ def infer(state: PipelineState, instance: Instance) -> InferResult:
     return infer_many(state, [instance])[0]
 
 
-def _faithfulness(state: PipelineState, instances, rationale_masks, p_only: np.ndarray):
-    """Comprehensiveness and sufficiency, given the predictor's
-    probabilities on the rationale-only documents."""
+def faithfulness(state: PipelineState, instances, rationale_masks, p_only=None):
+    """Batched comprehensiveness and sufficiency of given rationales.
+
+    Equivalent to calling the two metric functions instance by instance
+    with a keep-mask closure over the predictor; batching just amortizes
+    the three forward passes (full, rationale-stripped, rationale-only);
+    a caller that has the rationale-only probabilities passes ``p_only``.
+    """
+    masks = [np.asarray(m) for m in rationale_masks]
+    if p_only is None:
+        p_only = _predict_masked(state, instances, masks)
     p_full = _predict_probs(state.predictor, _batches(instances, state.vocab, state.cfg))
-    p_stripped = _predict_masked(state, instances, [1 - np.asarray(m) for m in rationale_masks])
+    p_stripped = _predict_masked(state, instances, [1 - m for m in masks])
     cls = p_full.argmax(axis=1)
     idx = np.arange(len(instances))
     comp = p_full[idx, cls] - p_stripped[idx, cls]
     suff = p_full[idx, cls] - p_only[idx, cls]
     return comp, suff
-
-
-def faithfulness(state: PipelineState, instances, rationale_masks):
-    """Batched comprehensiveness and sufficiency of given rationales.
-
-    Equivalent to calling the two metric functions instance by instance
-    with a keep-mask closure over the predictor; batching just amortizes
-    the three forward passes (full, rationale-stripped, rationale-only).
-    """
-    masks = [np.asarray(m) for m in rationale_masks]
-    return _faithfulness(state, instances, masks, _predict_masked(state, instances, masks))
 
 
 def _prediction_record(state: PipelineState, res: InferResult) -> dict:
@@ -579,7 +558,7 @@ def score_results(state: PipelineState, instances, results) -> metrics.MetricsRe
         instances,
         [_prediction_record(state, r) for r in results],
         state.label_map,
-        lambda masks: _faithfulness(state, instances, masks, p_only),
+        lambda masks: faithfulness(state, instances, masks, p_only),
     )
 
 
@@ -595,13 +574,7 @@ def evaluate(state: PipelineState, instances) -> metrics.MetricsReport:
 
 
 def dump_flat_config(obj) -> str:
-    lines = []
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, (tuple, list)):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(obj, f.name)}\n" for f in fields(obj))
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -617,6 +590,10 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return out
 
 
+# how a config file's or a flag's text becomes a field's value, by annotation
+FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
 def coerce_config(cls, mapping: dict[str, str], **overrides):
     """Build a dataclass from string key=value pairs plus typed overrides."""
     kwargs = {}
@@ -624,18 +601,9 @@ def coerce_config(cls, mapping: dict[str, str], **overrides):
     for key, raw in mapping.items():
         if key not in by_name:
             raise ValueError(f"unknown config key {key!r} for {cls.__name__}")
-        kwargs[key] = _coerce_value(by_name[key].type, raw)
+        kwargs[key] = FIELD_TYPES[by_name[key].type](raw)
     kwargs.update(overrides)
     return cls(**kwargs)
-
-
-def _coerce_value(annotation: str, raw: str):
-    ann = str(annotation)
-    if "int" in ann:
-        return int(raw)
-    if "float" in ann:
-        return float(raw)
-    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +649,29 @@ def save_run(run_dir, state: PipelineState, report: metrics.MetricsReport | None
 
 
 def load_run(run_dir) -> PipelineState:
+    """The pipeline a run directory holds; its config must be valid and
+    each checkpoint must be the model that config, vocab.txt and
+    labels.json describe."""
     run_dir = Path(run_dir)
-    for name in ("explainer.npz", "predictor.npz", "train_config.txt"):
+    for name in ("explainer.npz", "predictor.npz", "train_config.txt", "vocab.txt", "labels.json"):
         if not (run_dir / name).exists():
             raise PipelineError(f"run directory {run_dir} is missing {name}")
-    cfg = coerce_config(TrainConfig, parse_flat_config((run_dir / "train_config.txt").read_text()))
+    text = (run_dir / "train_config.txt").read_text()
+    try:
+        cfg = coerce_config(TrainConfig, parse_flat_config(text)).validate()
+    except ValueError as exc:
+        raise PipelineError(f"run directory {run_dir}: train_config.txt: {exc}") from None
+    vocab = Vocabulary.load(run_dir / "vocab.txt")
+    label_map = load_label_map(run_dir / "labels.json")
     explainer = ExplainerModel.load(run_dir / "explainer.npz")
     predictor = PredictorModel.load(run_dir / "predictor.npz")
-    vocab = Vocabulary.load(run_dir / "vocab.txt")
+    for name, model, head in (("explainer", explainer, cfg.head), ("predictor", predictor, "none")):
+        expected = cfg.model_config(len(vocab), len(label_map), model.cfg.span_len)
+        if model.cfg != replace(expected, head=head) or vocab.wildcard != cfg.wildcard:
+            raise PipelineError(
+                f"run directory {run_dir}: {name}.npz, train_config.txt, vocab.txt and "
+                "labels.json disagree"
+            )
     return PipelineState(
         explainer=explainer,
         predictor=predictor,
@@ -696,5 +679,5 @@ def load_run(run_dir) -> PipelineState:
         stage2=TrainHistory(),
         cfg=cfg,
         vocab=vocab,
-        label_map=load_label_map(run_dir / "labels.json"),
+        label_map=label_map,
     )

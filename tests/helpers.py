@@ -1,6 +1,7 @@
-"""Shared test utilities: finite-difference gradient checking, and a
-stand-in sweep point for ``etp sweep``'s worker processes."""
+"""Shared test utilities: finite-difference gradient checking, and
+stand-in sweep points for ``etp sweep``'s worker processes."""
 
+import logging
 import os
 
 import numpy as np
@@ -59,3 +60,10 @@ def blas_env_point(payload: dict) -> dict:
     cell, the BLAS thread variables of the process it ran in. It lives in
     an importable module so that a spawned worker can unpickle it."""
     return {"lambda": payload["lam"], "error": " ".join(str(os.getenv(v)) for v in BLAS_VARS)}
+
+
+def logging_point(payload: dict) -> dict:
+    """A sweep point that trains nothing and logs one INFO line through
+    etp's logger, to show how the process it ran in logs."""
+    logging.getLogger("etp.cli").info("point lambda=%g ran", payload["lam"])
+    return {"lambda": payload["lam"], "error": "logged"}

@@ -1,20 +1,25 @@
 """CLI tests: every subcommand end to end on a small dataset, artifact
 contents, and CLI-vs-API agreement."""
 
+import argparse
 import csv
 import json
 import logging
 import re
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from etp import cli, metrics, pipeline
-from etp.data import DataError, load_jsonl
+from etp.data import SUBTOKEN_MODES, DataError, load_jsonl
+from etp.losses import WEIGHTING_MODES
+from etp.models import ModelOptions
 from etp.pipeline import TrainConfig
 
-from helpers import BLAS_VARS, blas_env_point
+from helpers import BLAS_VARS, blas_env_point, logging_point
 
 TINY_TRAIN = dict(
     epochs="2",
@@ -215,6 +220,44 @@ class TestTrain:
         assert rc == 1
         assert not out.exists()
         assert any("must be finite" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--embed-dim", "0"], {}, "embed_dim must be >= 1"),
+            (["--dropout", "1.0"], {}, "dropout must be in [0, 1)"),
+            (["--wildcard", ""], {}, "token '' cannot be serialized"),
+            (["--wildcard", "<pad>"], {}, "wildcard '<pad>' collides with a reserved token"),
+            ([], {"subtoken_mode": "bigram"}, "unknown subtoken mode 'bigram'"),
+            ([], {"max_len": "0"}, "max_len must be >= 1"),
+        ],
+        ids=["embed-dim", "dropout", "empty-wildcard", "reserved-wildcard", "subtokens", "max-len"],
+    )
+    def test_bad_value_is_rejected_before_any_output(
+        self, tmp_path, data_dir, caplog, flags, config, message
+    ):
+        cfg = write_cfg(tmp_path / "cfg.txt", **config)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg),
+                       *flags])
+        assert rc == 1
+        assert not out.exists()
+        assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", '{"0": "x"}', '{"0": 0, "1": 5}'],
+        ids=["array", "string-class", "class-gap"],
+    )
+    def test_bad_labels_json_names_the_file(self, tmp_path, data_dir, caplog, text):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "labels.json").write_text(text + "\n")
+        cfg = write_cfg(tmp_path / "cfg.txt")
+        rc = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                       "--config", str(cfg)])
+        assert rc == 1
+        assert f"{data / 'labels.json'}: labels must map each raw label to a class" in caplog.text
 
 
 class TestPredictAndEval:
@@ -482,6 +525,32 @@ class TestPredictAndEval:
         assert not (tmp_path / "p.jsonl").exists()
 
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("train_config.txt", lambda text: text.replace("head = token", "head = span")),
+            ("vocab.txt", lambda text: text.replace("<unk>\n", "<unk>\ninserted\n")),
+            ("train_config.txt", lambda text: text.replace("threshold = 0.5", "threshold = 2.0")),
+            ("train_config.txt", lambda text: text.replace("embed_dim = 8", "embed_dim = 999")),
+        ],
+        ids=["head", "vocab-token", "threshold", "embed-dim"],
+    )
+    def test_run_directory_that_disagrees_with_itself_is_clear_error(
+        self, tmp_path, run_dir, data_dir, caplog, name, edit
+    ):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        text = (edited / name).read_text()
+        assert edit(text) != text
+        (edited / name).write_text(edit(text))
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["predict", "--run", str(edited), "--data", str(data_dir / "test.jsonl"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"run directory {edited}: " in caplog.text
+        assert not out.exists()
+
+
 class TestSweep:
     def test_single_point_equals_train_plus_eval(self, tmp_path, data_dir):
         cfg = write_cfg(tmp_path / "cfg.txt", epochs="1")
@@ -572,6 +641,14 @@ class TestSweep:
         assert not sweep_out.exists()
         assert any("lambda must be finite" in r.getMessage() for r in caplog.records)
 
+    def test_bad_model_option_is_rejected_before_any_point(self, tmp_path, data_dir, caplog):
+        sweep_out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--data", str(data_dir), "--out", str(sweep_out),
+                       "--dropout", "1.0"])
+        assert rc == 1
+        assert not sweep_out.exists()
+        assert "dropout must be in [0, 1)" in caplog.text
+
     def test_failed_point_logs_its_traceback(self, tmp_path, caplog):
         payload = {"cfg": TrainConfig(), "lam": 1.0, "index": 0, "out": str(tmp_path),
                    "data": str(tmp_path / "missing"), "criterion": "token_f1"}
@@ -601,7 +678,29 @@ class TestSweep:
         assert self._worker_env(tmp_path, monkeypatch) == ["2 1 3", "2 1 3"]
 
 
+    def test_pool_workers_log_like_the_parent(self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setattr(cli, "_sweep_point", logging_point)
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--data", str(tmp_path), "--out", str(out), "--grid", "1,2",
+                       "--workers", "2"])
+        assert rc == 1  # every stand-in point reports an error
+        err = capfd.readouterr().err
+        for lam in (1, 2):
+            assert f"INFO etp.cli: point lambda={lam} ran" in err
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_training_flags_cover_every_config_field(self, command):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        actions = {a.dest: a for a in subparsers.choices[command]._actions}
+        assert {f.name for f in fields(TrainConfig)} <= set(actions)
+        assert actions["head"].choices == ModelOptions.HEADS
+        assert actions["exp_weighting"].choices == WEIGHTING_MODES
+        assert actions["subtoken_mode"].choices == SUBTOKEN_MODES
+
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])

@@ -46,6 +46,12 @@ class TestVocabulary:
         with pytest.raises(DataError):
             Vocabulary.build([], wildcard="<pad>")
 
+    @pytest.mark.parametrize("token", ["", "a\nb"])
+    def test_unserializable_token_rejected_on_build(self, token):
+        # rejected when the vocabulary is made, not after training when it is saved
+        with pytest.raises(DataError, match="cannot be serialized one-per-line"):
+            Vocabulary.build(["ok", token])
+
     def test_decode_inverts_encode_for_known_tokens(self):
         vocab = Vocabulary.build(["x", "y"])
         ids = vocab.encode(["x", "y", "."])

@@ -15,6 +15,7 @@ sort numerically, anything else lexicographically).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +43,9 @@ __all__ = [
     "build_vocab",
     "write_dataset",
     "load_dataset",
+    "Layout",
+    "lay_out",
+    "pack",
     "batchify",
 ]
 
@@ -98,6 +102,7 @@ class Vocabulary:
     SEP = "<sep>"
     UNK = "<unk>"
     N_RESERVED = 4
+    pad_id, sep_id, wildcard_id, unk_id = range(N_RESERVED)
 
     def __init__(self, tokens: list[str]):
         if len(tokens) < self.N_RESERVED:
@@ -109,10 +114,6 @@ class Vocabulary:
                 raise DataError(f"token {t!r} cannot be serialized one-per-line")
         self.tokens = list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
-        self.pad_id = 0
-        self.sep_id = 1
-        self.wildcard_id = 2
-        self.unk_id = 3
         if tokens[0] != self.PAD or tokens[1] != self.SEP or tokens[3] != self.UNK:
             raise DataError("reserved vocabulary slots are corrupted")
 
@@ -134,6 +135,10 @@ class Vocabulary:
     def encode(self, tokens) -> np.ndarray:
         unk = self.unk_id
         return np.array([self.index.get(t, unk) for t in tokens], dtype=np.int64)
+
+    def digest(self) -> str:
+        """A digest of the token list alone: equal lists give equal digests."""
+        return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
@@ -479,7 +484,29 @@ class Batch:
         return self.ids.shape[0]
 
 
-def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str):
+@dataclass
+class Layout:
+    """One instance as the network reads it, before padding.
+
+    ``ids`` is the [query, separator, document] sub-token id sequence
+    (just the document without a query), the document starting at
+    ``doc_start``. ``word_groups`` are the kept words' sub-token ranges,
+    ``gold_spans`` the gold word spans clipped to those words, and
+    ``targets`` the per-document-sub-token rationale targets.
+    """
+
+    instance: Instance
+    ids: np.ndarray
+    doc_start: int
+    word_groups: list[tuple[int, int]]
+    gold_spans: list[tuple[int, int]]
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str) -> Layout:
     prefix: list[str] = []
     if inst.query is not None:
         for w in inst.query:
@@ -506,7 +533,55 @@ def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str)
     spans = [
         (s, min(e, kept_words)) for s, e in inst.rationale_spans if s < kept_words
     ]
-    return prefix, doc_sub, groups, spans
+    targets = np.zeros(len(doc_sub))
+    for w, (gs, ge) in enumerate(groups):
+        targets[gs:ge] = inst.rationale_mask[w]
+    return Layout(inst, vocab.encode(prefix + doc_sub), len(prefix), groups, spans, targets)
+
+
+def lay_out(
+    instances, vocab: Vocabulary, max_len: int = 512, subtoken_mode: str = "word"
+) -> list[Layout]:
+    """Lay each instance out once; :func:`pack` then batches the layouts
+    in any order without touching the tokens again."""
+    return [_layout_instance(inst, vocab, max_len, subtoken_mode) for inst in instances]
+
+
+def pack(layouts, batch_size: int) -> list[Batch]:
+    """Pack layouts (in the given order) into batches padded to their longest."""
+    if batch_size < 1:
+        raise DataError("batch_size must be >= 1")
+    batches = []
+    for lo in range(0, len(layouts), batch_size):
+        chunk = layouts[lo : lo + batch_size]
+        bsz = len(chunk)
+        seq_len = max(map(len, chunk))
+        ids = np.full((bsz, seq_len), Vocabulary.pad_id, dtype=np.int64)
+        pad_mask = np.zeros((bsz, seq_len))
+        doc_mask = np.zeros((bsz, seq_len))
+        for b, lay in enumerate(chunk):
+            ids[b, : len(lay)] = lay.ids
+            pad_mask[b, : len(lay)] = 1.0
+            doc_mask[b, lay.doc_start : len(lay)] = 1.0
+        doc_start = np.array([lay.doc_start for lay in chunk], dtype=np.int64)
+        batches.append(
+            Batch(
+                ids=ids,
+                pad_mask=pad_mask,
+                doc_mask=doc_mask,
+                labels=np.array([lay.instance.label for lay in chunk], dtype=np.int64),
+                doc_start=doc_start,
+                doc_sublen=np.array([len(lay) for lay in chunk], dtype=np.int64) - doc_start,
+                doc_row_index=[
+                    np.arange(lay.doc_start, len(lay)) * bsz + b for b, lay in enumerate(chunk)
+                ],
+                doc_targets=[lay.targets for lay in chunk],
+                word_groups=[lay.word_groups for lay in chunk],
+                gold_spans=[lay.gold_spans for lay in chunk],
+                instances=[lay.instance for lay in chunk],
+            )
+        )
+    return batches
 
 
 def batchify(
@@ -516,52 +591,5 @@ def batchify(
     max_len: int = 512,
     subtoken_mode: str = "word",
 ) -> list[Batch]:
-    """Pack instances (in the given order) into padded batches."""
-    if batch_size < 1:
-        raise DataError("batch_size must be >= 1")
-    batches = []
-    for lo in range(0, len(instances), batch_size):
-        chunk = instances[lo : lo + batch_size]
-        layouts = [_layout_instance(inst, vocab, max_len, subtoken_mode) for inst in chunk]
-        bsz = len(chunk)
-        seq_len = max(len(p) + len(d) for p, d, *_ in layouts)
-        ids = np.full((bsz, seq_len), vocab.pad_id, dtype=np.int64)
-        pad_mask = np.zeros((bsz, seq_len))
-        doc_mask = np.zeros((bsz, seq_len))
-        doc_start = np.zeros(bsz, dtype=np.int64)
-        doc_sublen = np.zeros(bsz, dtype=np.int64)
-        doc_rows, doc_targets, all_groups, all_spans = [], [], [], []
-        for b, (inst, (prefix, doc_sub, groups, spans)) in enumerate(
-            zip(chunk, layouts)
-        ):
-            seq = prefix + doc_sub
-            ids[b, : len(seq)] = vocab.encode(seq)
-            pad_mask[b, : len(seq)] = 1.0
-            start = len(prefix)
-            doc_mask[b, start : len(seq)] = 1.0
-            doc_start[b] = start
-            doc_sublen[b] = len(doc_sub)
-            doc_rows.append((np.arange(len(doc_sub)) + start) * bsz + b)
-            word_mask = inst.rationale_mask[: len(groups)]
-            targets = np.zeros(len(doc_sub))
-            for w, (gs, ge) in enumerate(groups):
-                targets[gs:ge] = word_mask[w]
-            doc_targets.append(targets)
-            all_groups.append(groups)
-            all_spans.append(spans)
-        batches.append(
-            Batch(
-                ids=ids,
-                pad_mask=pad_mask,
-                doc_mask=doc_mask,
-                labels=np.array([i.label for i in chunk], dtype=np.int64),
-                doc_start=doc_start,
-                doc_sublen=doc_sublen,
-                doc_row_index=doc_rows,
-                doc_targets=doc_targets,
-                word_groups=all_groups,
-                gold_spans=all_spans,
-                instances=list(chunk),
-            )
-        )
-    return batches
+    """Lay out, then pack, instances (in the given order) into padded batches."""
+    return pack(lay_out(instances, vocab, max_len, subtoken_mode), batch_size)

@@ -17,6 +17,7 @@ All activations for a batch live in time-major (T*B, dim) matrices; see
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -74,13 +75,16 @@ class ModelOptions:
 
 @dataclass
 class ModelConfig(ModelOptions):
-    """The options plus the sizes the data sets; the predictor's head is "none"."""
+    """The options plus the sizes the data sets, and the digest of the
+    vocabulary whose ids the embedding rows stand for (empty when not
+    recorded); the predictor's head is "none"."""
 
     HEADS = (*ModelOptions.HEADS, "none")
 
     vocab_size: int
     num_classes: int
     span_len: int = 512
+    vocab_digest: str = ""
 
     @property
     def d_rep(self) -> int:
@@ -463,25 +467,37 @@ def save_checkpoint(path, kind: str, cfg: ModelConfig, arrays: dict[str, np.ndar
 
 
 def load_checkpoint(path):
-    with np.load(path, allow_pickle=False) as zf:
-        meta = json.loads(str(zf["meta"][()]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-        arrays = {
-            key[len("param:") :]: zf[key].astype(np.float64)
-            for key in zf.files
-            if key.startswith("param:")
-        }
-    cfg = ModelConfig(**meta["config"])
-    return meta["kind"], cfg, arrays
+    """(kind, config, parameter arrays) of a checkpoint. A damaged file, a
+    missing or unreadable meta record and an unknown format raise
+    ValueError naming the file."""
+    try:
+        with np.load(path, allow_pickle=False) as zf:
+            meta = json.loads(str(zf["meta"][()]))
+            if not isinstance(meta, dict):
+                raise ValueError("meta is not a JSON object")
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
+            arrays = {
+                key[len("param:") :]: zf[key].astype(np.float64)
+                for key in zf.files
+                if key.startswith("param:")
+            }
+        return meta["kind"], ModelConfig(**meta["config"]), arrays
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a readable checkpoint ({exc})") from None
 
 
 def load_model(path):
-    """Build the model kind a checkpoint names from one read of the file."""
+    """Build the model kind a checkpoint names from one read of the file;
+    a config or parameter set that does not build that model raises
+    ValueError naming the file."""
     kind, cfg, arrays = load_checkpoint(path)
     classes = {cls.kind: cls for cls in (ExplainerModel, PredictorModel)}
-    if kind not in classes:
-        raise ValueError(f"unknown model kind {kind!r}")
-    model = classes[kind](cfg, seed=0)
-    model.load_state(arrays)
+    if not isinstance(kind, str) or kind not in classes:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    try:
+        model = classes[kind](cfg, seed=0)
+        model.load_state(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model

@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, metrics
 from .autodiff import Tape, Tensor
-from .data import Batch, DataError, Dataset, Instance, Vocabulary, batchify, build_vocab
-from .data import check_layout, load_label_map, save_label_map
+from .data import Batch, DataError, Dataset, Instance, Layout, Vocabulary, batchify, build_vocab
+from .data import check_layout, lay_out, load_label_map, pack, save_label_map
 from .models import (
     ExplainerModel,
     ModelConfig,
@@ -74,6 +74,12 @@ logger = logging.getLogger("etp.pipeline")
 # Offset separating the predictor's init stream from the explainer's.
 _PREDICTOR_SEED_OFFSET = 7919
 
+# Each epoch sorts the seeded permutation of the training set by laid-out
+# length inside windows of this many batches before cutting it into
+# batches, so a batch holds documents of similar length and few GRU steps
+# run over padding; the batch order is then shuffled.
+BUCKET_BATCHES = 16
+
 
 class PipelineError(RuntimeError):
     pass
@@ -112,9 +118,12 @@ class TrainConfig(ModelOptions):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         return self
 
-    def model_config(self, vocab_size: int, num_classes: int, span_len: int = 512) -> ModelConfig:
+    def model_config(
+        self, vocab_size: int, num_classes: int, span_len: int = 512, vocab_digest: str = ""
+    ) -> ModelConfig:
         options = {f.name: getattr(self, f.name) for f in fields(ModelOptions)}
-        return ModelConfig(vocab_size=vocab_size, num_classes=num_classes, span_len=span_len, **options)
+        return ModelConfig(vocab_size=vocab_size, num_classes=num_classes, span_len=span_len,
+                           vocab_digest=vocab_digest, **options)
 
 
 @dataclass
@@ -181,10 +190,6 @@ def _exp_loss(model: ExplainerModel, enc, batch: Batch, cfg: TrainConfig) -> Ten
     return ad.mul(losses.span_total_loss(start, end), 1.0 / batch.size)
 
 
-def _batches(instances, vocab: Vocabulary, cfg: TrainConfig) -> list[Batch]:
-    return batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
-
-
 def _predict_probs(model, batches: list[Batch]) -> np.ndarray:
     """Eval-mode class probabilities over pre-built batches."""
     return np.concatenate(
@@ -228,19 +233,66 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
     return out
 
 
-def _validation_scores(model, batches, cfg, num_classes, stage: int):
+class _EvalBatches:
+    """Forward-only batches over ``instances`` in laid-out length order,
+    so that few rows step through padding; the passes below return their
+    per-document results in input order. A list that fits in one batch
+    keeps its order."""
+
+    def __init__(self, instances, vocab: Vocabulary, cfg: TrainConfig):
+        self.instances, self.cfg = instances, cfg
+        if len(instances) <= cfg.batch_size:
+            self.order = np.arange(len(instances))
+            self.batches = batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
+            return
+        layouts = lay_out(instances, vocab, cfg.max_len, cfg.subtoken_mode)
+        self.order = np.argsort([len(lay) for lay in layouts], kind="stable")
+        self.batches = pack([layouts[i] for i in self.order], cfg.batch_size)
+
+    def restore(self, results):
+        """Per-document results listed in batch order (a list or an
+        array), in input order."""
+        back = np.empty_like(self.order)
+        back[self.order] = np.arange(len(self.order))
+        if isinstance(results, np.ndarray):
+            return results[back]
+        return [results[i] for i in back]
+
+    def explain(self, model: ExplainerModel) -> list[InferResult]:
+        return self.restore(_explain(model, self.batches, self.cfg))
+
+    def predict(self, model) -> np.ndarray:
+        return self.restore(_predict_probs(model, self.batches))
+
+
+def _epoch_batches(layouts: list[Layout], batch_size: int, rng: np.random.Generator) -> list[Batch]:
+    """One epoch's training batches: the seeded permutation, stably sorted
+    by length inside windows of BUCKET_BATCHES batches, cut into batches
+    that are then shuffled with the same generator."""
+    lengths = np.array([len(lay) for lay in layouts])
+    order = rng.permutation(len(layouts))
+    window = BUCKET_BATCHES * batch_size
+    for lo in range(0, len(order), window):
+        part = order[lo : lo + window]
+        order[lo : lo + window] = part[np.argsort(lengths[part], kind="stable")]
+    cuts = [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+    return [
+        pack([layouts[i] for i in cuts[c]], batch_size)[0] for c in rng.permutation(len(cuts))
+    ]
+
+
+def _validation_scores(model, val: _EvalBatches, num_classes, stage: int):
     """Validation macro F1, plus token F1 over the kept words in stage 1."""
-    gold = np.concatenate([b.labels for b in batches])
+    gold = np.array([inst.label for inst in val.instances], dtype=np.int64)
     if stage == 2:
-        pred = _predict_probs(model, batches).argmax(axis=1)
+        pred = val.predict(model).argmax(axis=1)
         return metrics.macro_f1(pred, gold, num_classes), None
-    explained = _explain(model, batches, cfg)
+    explained = val.explain(model)
     macro = metrics.macro_f1(np.array([e.label for e in explained]), gold, num_classes)
-    counts = [len(groups) for b in batches for groups in b.word_groups]
-    instances = [inst for b in batches for inst in b.instances]
+    counts = val.restore([len(groups) for b in val.batches for groups in b.word_groups])
     token = metrics.token_prf_dataset(
         [e.rationale_mask[:n] for e, n in zip(explained, counts)],
-        [np.asarray(inst.rationale_mask[:n]) for inst, n in zip(instances, counts)],
+        [np.asarray(inst.rationale_mask[:n]) for inst, n in zip(val.instances, counts)],
     )["f1"]
     return macro, token
 
@@ -249,27 +301,32 @@ def _validation_scores(model, batches, cfg, num_classes, stage: int):
 # training loops
 
 
-def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: int):
+def _stage_inputs(train, val, vocab: Vocabulary, cfg: TrainConfig):
+    """A stage's training set, laid out once for all its epochs, and its
+    validation batches."""
+    if not val:
+        raise PipelineError("validation set must be nonempty")
+    return lay_out(train, vocab, cfg.max_len, cfg.subtoken_mode), _EvalBatches(val, vocab, cfg)
+
+
+def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig, num_classes,
+                stage: int):
     """Shared epoch loop; stage 1 optimizes the combined loss and stops
     on macro F1 + token F1, stage 2 optimizes the task loss alone and
     stops on macro F1."""
-    if not val:
-        raise PipelineError("validation set must be nonempty")
     opt = Adam(model.parameters(), lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(cfg.seed + 11 + stage)
     dropout_rng = np.random.default_rng(cfg.seed + 23 + stage)
-    val_batches = _batches(val, vocab, cfg)
     history = TrainHistory()
     best_criterion = -np.inf
     best_state = model.state_arrays()
     bad_epochs = 0
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(train))
-        shuffled = [train[i] for i in order]
         sums = np.zeros(3)
         count = 0
+        real = cells = 0.0
         diverged = False
-        for batch in _batches(shuffled, vocab, cfg):
+        for batch in _epoch_batches(train, cfg.batch_size, shuffle_rng):
             with Tape() as tape:
                 enc = model.encode(batch.ids, batch.pad_mask)
                 probs = model.predict_task(enc, train=True, dropout_rng=dropout_rng)
@@ -291,18 +348,21 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
             opt.zero_grad()
             sums += np.array(values) * batch.size
             count += batch.size
+            real += batch.pad_mask.sum()
+            cells += batch.pad_mask.size
         if diverged:
             logger.warning("stage %d: non-finite loss at epoch %d; restoring best weights", stage, epoch)
             history.diverged = True
             break
         l_task_m, l_exp_m, l_loss_m = (sums / max(count, 1)).tolist()
-        macro, token = _validation_scores(model, val_batches, cfg, num_classes, stage)
+        macro, token = _validation_scores(model, val, num_classes, stage)
         criterion = macro + token if stage == 1 else macro
         history.epochs.append(
             EpochStats(epoch, l_task_m, l_exp_m, l_loss_m, macro, token)
         )
         logger.info(
-            "stage %d epoch %d: loss %.4f (task %.4f, exp %.4f) val macro F1 %.4f%s",
+            "stage %d epoch %d: loss %.4f (task %.4f, exp %.4f) val macro F1 %.4f%s; "
+            "packed real/cells %.3f",
             stage,
             epoch,
             l_loss_m,
@@ -310,6 +370,7 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
             l_exp_m,
             macro,
             "" if token is None else f" token F1 {token:.4f}",
+            real / max(cells, 1.0),
         )
         if criterion > best_criterion:
             best_criterion = criterion
@@ -328,14 +389,16 @@ def _train_loop(model, train, val, cfg: TrainConfig, vocab, num_classes, stage: 
 def train_explainer(train, val, cfg: TrainConfig, vocab: Vocabulary, num_classes: int):
     """Phase-one multi-task training; returns the best-epoch explainer."""
     cfg.validate()
-    model_cfg = cfg.model_config(len(vocab), num_classes)
+    layouts, val_order = _stage_inputs(train, val, vocab, cfg)
+    model_cfg = cfg.model_config(len(vocab), num_classes, vocab_digest=vocab.digest())
     if cfg.head == "span":
         # the span head is as long as the longest laid-out train or val document
         model_cfg.span_len = max(
-            int(b.doc_sublen.max()) for b in _batches([*train, *val], vocab, cfg)
+            max((len(lay) - lay.doc_start for lay in layouts), default=1),
+            max(int(b.doc_sublen.max()) for b in val_order.batches),
         )
     model = ExplainerModel(model_cfg, seed=cfg.seed)
-    return _train_loop(model, train, val, cfg, vocab, num_classes, stage=1)
+    return _train_loop(model, layouts, val_order, cfg, num_classes, stage=1)
 
 
 def filter_training_instances(instances, explanations):
@@ -359,10 +422,10 @@ def train_predictor(masked_train, masked_val, cfg: TrainConfig, vocab: Vocabular
     cfg.validate()
     if not masked_train:
         raise PipelineError("stage 2 cannot proceed on an empty training set")
-    model = PredictorModel(
-        cfg.model_config(len(vocab), num_classes), seed=cfg.seed + _PREDICTOR_SEED_OFFSET
-    )
-    return _train_loop(model, masked_train, masked_val, cfg, vocab, num_classes, stage=2)
+    layouts, val_order = _stage_inputs(masked_train, masked_val, vocab, cfg)
+    model_cfg = cfg.model_config(len(vocab), num_classes, vocab_digest=vocab.digest())
+    model = PredictorModel(model_cfg, seed=cfg.seed + _PREDICTOR_SEED_OFFSET)
+    return _train_loop(model, layouts, val_order, cfg, num_classes, stage=2)
 
 
 def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
@@ -376,8 +439,8 @@ def run_pipeline(dataset: Dataset, cfg: TrainConfig) -> PipelineState:
         vocab = build_vocab(train, cfg.wildcard, cfg.subtoken_mode)
     num_classes = dataset.num_classes
     explainer, hist1 = train_explainer(train, val, cfg, vocab, num_classes)
-    train_exp = _explain(explainer, _batches(train, vocab, cfg), cfg)
-    val_exp = _explain(explainer, _batches(val, vocab, cfg), cfg)
+    train_exp = _EvalBatches(train, vocab, cfg).explain(explainer)
+    val_exp = _EvalBatches(val, vocab, cfg).explain(explainer)
     # masking commutes with the filter: it keeps the label of every document
     masked_train = filter_training_instances(
         build_masked_dataset(train, [e.rationale_mask for e in train_exp], cfg.wildcard), train_exp
@@ -414,7 +477,7 @@ def _predict_masked(state: PipelineState, instances, masks) -> np.ndarray:
     """Predictor probabilities on the documents with every word outside
     its mask replaced by the wildcard."""
     masked = build_masked_dataset(instances, masks, state.cfg.wildcard)
-    return _predict_probs(state.predictor, _batches(masked, state.vocab, state.cfg))
+    return _EvalBatches(masked, state.vocab, state.cfg).predict(state.predictor)
 
 
 def infer_many(state: PipelineState, instances) -> list[InferResult]:
@@ -425,7 +488,7 @@ def infer_many(state: PipelineState, instances) -> list[InferResult]:
     score vectors cover the full document (words dropped by truncation
     score 0).
     """
-    explained = _explain(state.explainer, _batches(instances, state.vocab, state.cfg), state.cfg)
+    explained = _EvalBatches(instances, state.vocab, state.cfg).explain(state.explainer)
     probs = _predict_masked(state, instances, [e.rationale_mask for e in explained])
     return [replace(e, label=int(p.argmax()), probs=p) for p, e in zip(probs, explained)]
 
@@ -445,7 +508,7 @@ def faithfulness(state: PipelineState, instances, rationale_masks, p_only=None):
     masks = [np.asarray(m) for m in rationale_masks]
     if p_only is None:
         p_only = _predict_masked(state, instances, masks)
-    p_full = _predict_probs(state.predictor, _batches(instances, state.vocab, state.cfg))
+    p_full = _EvalBatches(instances, state.vocab, state.cfg).predict(state.predictor)
     p_stripped = _predict_masked(state, instances, [1 - m for m in masks])
     cls = p_full.argmax(axis=1)
     idx = np.arange(len(instances))
@@ -666,7 +729,14 @@ def load_run(run_dir) -> PipelineState:
     explainer = ExplainerModel.load(run_dir / "explainer.npz")
     predictor = PredictorModel.load(run_dir / "predictor.npz")
     for name, model, head in (("explainer", explainer, cfg.head), ("predictor", predictor, "none")):
-        expected = cfg.model_config(len(vocab), len(label_map), model.cfg.span_len)
+        # a checkpoint written before the vocabulary digest was recorded has none to compare
+        digest = model.cfg.vocab_digest
+        if digest and digest != vocab.digest():
+            raise PipelineError(
+                f"run directory {run_dir}: vocab.txt is not the vocabulary {name}.npz was "
+                "trained on"
+            )
+        expected = cfg.model_config(len(vocab), len(label_map), model.cfg.span_len, digest)
         if model.cfg != replace(expected, head=head) or vocab.wildcard != cfg.wildcard:
             raise PipelineError(
                 f"run directory {run_dir}: {name}.npz, train_config.txt, vocab.txt and "

@@ -525,6 +525,48 @@ class TestPredictAndEval:
         assert not (tmp_path / "p.jsonl").exists()
 
 
+    def test_cut_checkpoint_is_clear_error(self, tmp_path, run_dir, data_dir, caplog):
+        cut = tmp_path / "run"
+        shutil.copytree(run_dir, cut)
+        data = (cut / "explainer.npz").read_bytes()
+        (cut / "explainer.npz").write_bytes(data[:3000])
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["predict", "--run", str(cut), "--data", str(data_dir / "test.jsonl"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"{cut / 'explainer.npz'}: not a readable checkpoint" in caplog.text
+        assert not out.exists()
+
+    def test_replaced_vocabulary_token_is_clear_error(self, tmp_path, run_dir, data_dir, caplog):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        tokens = (edited / "vocab.txt").read_text().splitlines()
+        tokens[10] = "replaced"
+        (edited / "vocab.txt").write_text("\n".join(tokens) + "\n")
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["predict", "--run", str(edited), "--data", str(data_dir / "test.jsonl"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "vocab.txt is not the vocabulary explainer.npz was trained on" in caplog.text
+        assert not out.exists()
+
+    def test_checkpoints_without_a_vocabulary_digest_still_load(self, tmp_path, run_dir, data_dir):
+        legacy = tmp_path / "run"
+        shutil.copytree(run_dir, legacy)
+        for name in ("explainer.npz", "predictor.npz"):
+            with np.load(legacy / name) as zf:
+                arrays = {key: zf[key] for key in zf.files}
+            meta = json.loads(str(arrays["meta"][()]))
+            assert meta["config"].pop("vocab_digest")
+            arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+            np.savez(legacy / name, **arrays)
+        outs = [tmp_path / "new.jsonl", tmp_path / "legacy.jsonl"]
+        for run, out in zip((run_dir, legacy), outs):
+            rc = cli.main(["predict", "--run", str(run), "--data", str(data_dir / "test.jsonl"),
+                           "--out", str(out)])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize(
         "name, edit",
         [

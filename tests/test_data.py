@@ -1,6 +1,7 @@
 """Dataset layer tests: JSONL schema, vocabulary, synthetic generator,
 and batch layout."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -16,8 +17,10 @@ from etp.data import (
     batchify,
     build_label_map,
     generate_synthetic,
+    lay_out,
     load_dataset,
     load_jsonl,
+    pack,
     save_jsonl,
     subtokenize,
     write_dataset,
@@ -37,6 +40,13 @@ class TestVocabulary:
         vocab = Vocabulary.build([], wildcard="_")
         ids = {vocab.pad_id, vocab.sep_id, vocab.wildcard_id, vocab.unk_id}
         assert len(ids) == 4
+
+    def test_digest_depends_on_the_tokens_alone(self, tmp_path):
+        vocab = Vocabulary.build(["zebra", "apple"])
+        vocab.save(tmp_path / "vocab.txt")
+        assert Vocabulary.load(tmp_path / "vocab.txt").digest() == vocab.digest()
+        assert Vocabulary.build(["zebra", "apples"]).digest() != vocab.digest()
+        assert Vocabulary.build(["zebra", "apple"], wildcard="_").digest() != vocab.digest()
 
     def test_unknown_maps_to_unk(self):
         vocab = Vocabulary.build(["a"])
@@ -285,6 +295,30 @@ class TestBatchify:
             rows = batch.doc_row_index[b]
             got = [vocab.tokens[flat[r]] for r in rows]
             assert got == inst.document
+
+    def test_layouts_pack_in_any_order_like_batchify(self):
+        insts = [
+            self._inst("a", ["x", "y"], spans=[(1, 2)]),
+            self._inst("b", ["p", "q", "r", "s"], query=["x"], spans=[(0, 2)]),
+            self._inst("c", ["y"] * 3, spans=[(2, 3)], label=1),
+        ]
+        vocab = self._vocab(insts)
+        layouts = lay_out(insts, vocab, max_len=4)
+        assert [len(lay) for lay in layouts] == [2, 4, 3]
+        order = [2, 0, 1]
+        packed = pack([layouts[i] for i in order], 2)
+        direct = batchify([insts[i] for i in order], 2, vocab, max_len=4)
+        assert len(packed) == len(direct) == 2
+        for got, want in zip(packed, direct):
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    np.testing.assert_array_equal(a, b)
+                elif f.name in ("doc_row_index", "doc_targets"):
+                    for x, y in zip(a, b, strict=True):
+                        np.testing.assert_array_equal(x, y)
+                else:
+                    assert a == b, f.name
 
     def test_query_overflow_rejected(self):
         inst = self._inst("a", ["d"], query=["q"] * 8)

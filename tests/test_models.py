@@ -17,6 +17,7 @@ from etp.models import (
     load_model,
     mask_input,
     pool_subtokens,
+    save_checkpoint,
     subtoken_spans_to_words,
     word_spans_to_subtokens,
 )
@@ -455,3 +456,30 @@ class TestCheckpoints:
         again = ExplainerModel.load(path)
         after = again.predict_task(again.encode(ids, pad)).data
         np.testing.assert_array_equal(before, after)
+
+    def test_cut_file_is_value_error_naming_it(self, tmp_path):
+        path = tmp_path / "model.npz"
+        ExplainerModel(tiny_config(), seed=31).save(path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ValueError, match="model.npz"):
+            load_model(path)
+
+    @pytest.mark.parametrize("meta", [None, "not json", '["a list"]'],
+                             ids=["missing", "not-json", "not-an-object"])
+    def test_bad_meta_record_is_value_error_naming_the_file(self, tmp_path, meta):
+        model = ExplainerModel(tiny_config(), seed=32)
+        payload = {f"param:{k}": v for k, v in model.state_arrays().items()}
+        if meta is not None:
+            payload["meta"] = np.array(meta)
+        path = tmp_path / "model.npz"
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="model.npz"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_is_value_error_naming_the_file(self, tmp_path):
+        arrays = ExplainerModel(tiny_config(), seed=33).state_arrays()
+        del arrays["exp.w"]
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, "explainer", tiny_config(), arrays)
+        with pytest.raises(ValueError, match=r"model\.npz.*exp\.w"):
+            load_model(path)

@@ -10,7 +10,7 @@ import pytest
 
 from etp import losses, metrics, pipeline
 from etp.autodiff import Tape
-from etp.data import batchify
+from etp.data import Dataset, SyntheticSpec, batchify, build_vocab, generate_synthetic
 from etp.models import _EncoderClassifier, mask_input, pool_subtokens
 from etp.pipeline import (
     PipelineError,
@@ -490,3 +490,117 @@ class TestPassCounts:
         rows.clear()
         evaluate(state, dataset.splits["test"])
         assert rows == {"run_pipeline": 4 * n_test}
+
+
+def stage1_batches(train, val, vocab, **cfg_kw):
+    """Every batch stage 1 trains on, in the order it trains on them."""
+    seen = []
+    exp_loss = pipeline._exp_loss
+
+    def recording(model, enc, batch, cfg):
+        seen.append(batch)
+        return exp_loss(model, enc, batch, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_exp_loss", recording)
+        train_explainer(train, val, tiny_train_config(**cfg_kw), vocab, 2)
+    return seen
+
+
+def bench_shaped(n, seed=1):
+    """Documents of 20-40 words, as in the benchmark's workloads."""
+    spec = SyntheticSpec(vocab_size=200, num_classes=2, doc_len=(20, 40), phrase_len=(3, 5),
+                         distractor_rate=0.3, seed=seed)
+    splits, label_map = generate_synthetic(spec, n, n_val=8, n_test=1)
+    return Dataset(splits=splits, label_map=label_map, vocab=build_vocab(splits["train"]))
+
+
+@pytest.fixture(scope="module")
+def two_epochs():
+    """Stage 1's batches over 1,000 bench-shaped documents, 2 epochs of 63 batches of 16."""
+    dataset = bench_shaped(1000)
+    batches = stage1_batches(dataset.splits["train"], dataset.splits["val"], dataset.vocab,
+                             epochs=2, patience=0, batch_size=16)
+    assert len(batches) == 2 * 63
+    return dataset, [batches[:63], batches[63:]]
+
+
+class TestEpochBatches:
+    def test_every_training_instance_appears_once_per_epoch(self, two_epochs):
+        dataset, epochs = two_epochs
+        uids = sorted(inst.uid for inst in dataset.splits["train"])
+        for batches in epochs:
+            assert sorted(i.uid for b in batches for i in b.instances) == uids
+        first, second = ([[i.uid for i in b.instances] for b in bs] for bs in epochs)
+        assert first != second
+
+    def test_batches_hold_documents_of_similar_length(self, two_epochs):
+        # shuffled batches of 20-40 word documents are about 24% padding
+        _, epochs = two_epochs
+        for batches in epochs:
+            real = sum(b.pad_mask.sum() for b in batches)
+            cells = sum(b.pad_mask.size for b in batches)
+            assert real / cells >= 0.9
+
+    def test_batch_order_is_not_sorted_by_length(self, two_epochs):
+        _, epochs = two_epochs
+        for batches in epochs:
+            steps = np.array([b.ids.shape[1] for b in batches])
+            assert (np.diff(steps) > 0).any() and (np.diff(steps) < 0).any()
+            # nor nearly sorted: lengths and positions are far from rank-correlated
+            ranks = np.argsort(np.argsort(steps, kind="stable"))
+            assert abs(np.corrcoef(ranks, np.arange(len(steps)))[0, 1]) < 0.5
+
+    def test_batch_sequence_is_fixed_by_the_seed(self):
+        dataset = bench_shaped(120, seed=2)
+        train, val, vocab = dataset.splits["train"], dataset.splits["val"], dataset.vocab
+
+        def sequence(seed):
+            batches = stage1_batches(train, val, vocab, epochs=2, batch_size=8, seed=seed)
+            return [[i.uid for i in b.instances] for b in batches]
+
+        assert sequence(0) == sequence(0)
+        assert sequence(0) != sequence(1)
+
+
+def alternating_lengths(instances):
+    """The instances ordered short, long, short, ..., with the first one repeated last."""
+    by_len = sorted(instances, key=lambda inst: len(inst.document))
+    half = len(by_len) // 2
+    mixed = [inst for pair in zip(by_len[:half], by_len[half:][::-1]) for inst in pair]
+    return mixed + [mixed[0]]
+
+
+class TestInputOrder:
+    """Calls longer than one batch run in length order and answer in input order."""
+
+    def test_infer_many_matches_per_document_infer(self, state):
+        st, dataset = state
+        items = alternating_lengths(dataset.splits["test"])
+        assert len(items) > st.cfg.batch_size
+        many = infer_many(st, items)
+        assert [r.uid for r in many] == [inst.uid for inst in items]
+        for inst, res in zip(items, many):
+            single = infer(st, inst)
+            assert res.label == single.label
+            np.testing.assert_array_equal(res.rationale_mask, single.rationale_mask)
+            np.testing.assert_allclose(res.probs, single.probs, atol=1e-12)
+        np.testing.assert_array_equal(many[0].probs, many[-1].probs)
+
+    def test_faithfulness_matches_per_document_calls(self, state):
+        st, dataset = state
+        items = alternating_lengths(dataset.splits["test"])
+        masks = [inst.rationale_mask for inst in items]
+        comp, suff = faithfulness(st, items, masks)
+        for i, (inst, mask) in enumerate(zip(items, masks)):
+            one_comp, one_suff = faithfulness(st, [inst], [mask])
+            assert comp[i] == pytest.approx(one_comp[0], abs=1e-12)
+            assert suff[i] == pytest.approx(one_suff[0], abs=1e-12)
+
+    def test_evaluate_scores_the_per_document_results(self, state):
+        st, dataset = state
+        items = alternating_lengths(dataset.splits["test"])
+        report = evaluate(st, items).to_dict()
+        expected = pipeline.score_results(st, items, [infer(st, inst) for inst in items]).to_dict()
+        assert report.pop("statistics") == expected.pop("statistics")
+        assert report == pytest.approx(expected, abs=1e-12)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import mask_to_spans, normalize_spans, spans_to_mask
+from .metrics import normalize_spans, spans_to_mask
 
 __all__ = [
     "DataError",
@@ -66,29 +66,15 @@ class Instance:
     rationale_mask: np.ndarray
     rationale_spans: list[tuple[int, int]] = field(default_factory=list)
 
-    def validate(self) -> "Instance":
-        if not self.document:
-            raise DataError(f"instance {self.uid}: empty document")
-        mask = np.asarray(self.rationale_mask)
-        if mask.shape != (len(self.document),):
-            raise DataError(
-                f"instance {self.uid}: rationale mask length {mask.shape} != document length "
-                f"{len(self.document)}"
-            )
-        if not np.isin(mask, (0, 1)).all():
-            raise DataError(f"instance {self.uid}: rationale mask must be binary")
-        for s, e in self.rationale_spans:
-            if not 0 <= s < e <= len(self.document):
-                raise DataError(f"instance {self.uid}: span ({s}, {e}) out of range")
-        if mask_to_spans(mask) != normalize_spans(self.rationale_spans):
-            raise DataError(f"instance {self.uid}: rationale mask and spans disagree")
-        return self
-
     @classmethod
     def from_spans(cls, uid, document, query, label, label_raw, spans) -> "Instance":
+        """The instance whose gold rationale is ``spans``: they are
+        normalized, and the mask is built from them, so the two agree."""
+        if not document:
+            raise DataError(f"instance {uid}: empty document")
         spans = normalize_spans(spans)
         mask = spans_to_mask(spans, len(document))
-        return cls(uid, list(document), query, label, label_raw, mask, spans).validate()
+        return cls(uid, list(document), query, label, label_raw, mask, spans)
 
 
 class Vocabulary:
@@ -248,8 +234,10 @@ def _parse_line(obj: dict, lineno: int, path: str) -> tuple:
         if not isinstance(ev, dict) or "start_token" not in ev or "end_token" not in ev:
             fail("each evidence needs 'start_token' and 'end_token'")
         s, e = ev["start_token"], ev["end_token"]
-        if not isinstance(s, int) or not isinstance(e, int) or not 0 <= s < e <= len(doc):
-            raise DataError(f"{path}:{lineno}: instance {uid}: span ({s}, {e}) out of range")
+        if type(s) is not int or type(e) is not int:  # a bool is an int
+            fail(f"instance {uid}: evidence offsets must be integers")
+        if not 0 <= s < e <= len(doc):
+            fail(f"instance {uid}: span ({s}, {e}) is empty, inverted or outside [0, {len(doc)}]")
         spans.append((s, e))
     return uid, doc, query, obj["label"], spans
 
@@ -463,8 +451,9 @@ class Batch:
 
     ``ids``/``pad_mask``/``doc_mask`` are (B, T); sequence layout per row
     is [query, separator, document] for pair tasks, else just the
-    document. ``doc_row_index[i]`` addresses instance i's document
-    sub-tokens inside time-major (T*B, .) activation matrices.
+    document. ``doc_row_index[i]`` addresses row i's document
+    sub-tokens inside time-major (T*B, .) activation matrices, and
+    ``layouts[i]`` is the layout packed into row i.
     """
 
     ids: np.ndarray
@@ -474,10 +463,7 @@ class Batch:
     doc_start: np.ndarray
     doc_sublen: np.ndarray
     doc_row_index: list[np.ndarray]
-    doc_targets: list[np.ndarray]
-    word_groups: list[list[tuple[int, int]]]
-    gold_spans: list[list[tuple[int, int]]]
-    instances: list[Instance]
+    layouts: list[Layout]
 
     @property
     def size(self) -> int:
@@ -575,10 +561,7 @@ def pack(layouts, batch_size: int) -> list[Batch]:
                 doc_row_index=[
                     np.arange(lay.doc_start, len(lay)) * bsz + b for b, lay in enumerate(chunk)
                 ],
-                doc_targets=[lay.targets for lay in chunk],
-                word_groups=[lay.word_groups for lay in chunk],
-                gold_spans=[lay.gold_spans for lay in chunk],
-                instances=[lay.instance for lay in chunk],
+                layouts=chunk,
             )
         )
     return batches

@@ -139,7 +139,7 @@ class EpochStats:
 @dataclass
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
-    best_epoch: int = 0
+    best_epoch: int = 0  # 0: the initial weights
     stopped_early: bool = False
     diverged: bool = False
 
@@ -176,10 +176,10 @@ def _exp_loss(model: ExplainerModel, enc, batch: Batch, cfg: TrainConfig) -> Ten
     if cfg.head == "token":
         scores = model.explain_tokens(enc, batch.doc_mask)
         return losses.token_explanation_loss(
-            scores, batch.doc_row_index, batch.doc_targets, cfg.exp_weighting
+            scores, batch.doc_row_index, [lay.targets for lay in batch.layouts], cfg.exp_weighting
         )
     sf = model.explain_spans(enc, batch.doc_start, batch.doc_sublen)
-    doc_spans = list(map(word_spans_to_subtokens, batch.gold_spans, batch.word_groups))
+    doc_spans = [word_spans_to_subtokens(lay.gold_spans, lay.word_groups) for lay in batch.layouts]
     targets = np.zeros_like(sf.valid)
     for b, spans in enumerate(doc_spans):
         for s, _ in spans:
@@ -214,40 +214,42 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
             # past it score 0 like words dropped by max_len truncation
             head_len = np.minimum(batch.doc_sublen, model.cfg.span_len)
             sf = model.explain_spans(enc, batch.doc_start, head_len)
-        for b, inst in enumerate(batch.instances):
+        for b, lay in enumerate(batch.layouts):
             if cfg.head == "token":
                 sub = sub_scores[batch.doc_row_index[b], 0]
-                word_scores = pool_subtokens(sub, batch.word_groups[b])
+                word_scores = pool_subtokens(sub, lay.word_groups)
                 hard = (word_scores >= cfg.threshold).astype(np.int8)
                 spans = metrics.mask_to_spans(hard)
             else:
                 spans_sub = decode_spans(sf.start_numpy(b), sf.end_numpy(b), cfg.threshold)
-                spans = subtoken_spans_to_words(spans_sub, batch.word_groups[b])
-                hard = metrics.spans_to_mask(spans, len(batch.word_groups[b]))
+                spans = subtoken_spans_to_words(spans_sub, lay.word_groups)
+                hard = metrics.spans_to_mask(spans, len(lay.word_groups))
                 word_scores = hard.astype(np.float64)
-            mask = np.zeros(len(inst.document), dtype=np.int8)
+            uid, n = lay.instance.uid, len(lay.instance.document)
+            mask = np.zeros(n, dtype=np.int8)
             mask[: len(hard)] = hard
-            scores = np.zeros(len(inst.document))
+            scores = np.zeros(n)
             scores[: len(word_scores)] = word_scores
-            out.append(InferResult(inst.uid, int(probs[b].argmax()), probs[b], mask, spans, scores))
+            out.append(InferResult(uid, int(probs[b].argmax()), probs[b], mask, spans, scores))
     return out
 
 
 class _EvalBatches:
     """Forward-only batches over ``instances`` in laid-out length order,
-    so that few rows step through padding; the passes below return their
-    per-document results in input order. A list that fits in one batch
-    keeps its order."""
+    so that few rows step through padding; ``layouts`` and the passes
+    below list their per-document results in input order. A list that
+    fits in one batch keeps its order."""
 
     def __init__(self, instances, vocab: Vocabulary, cfg: TrainConfig):
-        self.instances, self.cfg = instances, cfg
+        self.cfg = cfg
         if len(instances) <= cfg.batch_size:
             self.order = np.arange(len(instances))
             self.batches = batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
+            self.layouts = [lay for b in self.batches for lay in b.layouts]
             return
-        layouts = lay_out(instances, vocab, cfg.max_len, cfg.subtoken_mode)
-        self.order = np.argsort([len(lay) for lay in layouts], kind="stable")
-        self.batches = pack([layouts[i] for i in self.order], cfg.batch_size)
+        self.layouts = lay_out(instances, vocab, cfg.max_len, cfg.subtoken_mode)
+        self.order = np.argsort([len(lay) for lay in self.layouts], kind="stable")
+        self.batches = pack([self.layouts[i] for i in self.order], cfg.batch_size)
 
     def restore(self, results):
         """Per-document results listed in batch order (a list or an
@@ -283,16 +285,16 @@ def _epoch_batches(layouts: list[Layout], batch_size: int, rng: np.random.Genera
 
 def _validation_scores(model, val: _EvalBatches, num_classes, stage: int):
     """Validation macro F1, plus token F1 over the kept words in stage 1."""
-    gold = np.array([inst.label for inst in val.instances], dtype=np.int64)
+    layouts = val.layouts
+    gold = np.array([lay.instance.label for lay in layouts], dtype=np.int64)
     if stage == 2:
         pred = val.predict(model).argmax(axis=1)
         return metrics.macro_f1(pred, gold, num_classes), None
     explained = val.explain(model)
     macro = metrics.macro_f1(np.array([e.label for e in explained]), gold, num_classes)
-    counts = val.restore([len(groups) for b in val.batches for groups in b.word_groups])
     token = metrics.token_prf_dataset(
-        [e.rationale_mask[:n] for e, n in zip(explained, counts)],
-        [np.asarray(inst.rationale_mask[:n]) for inst, n in zip(val.instances, counts)],
+        [e.rationale_mask[: len(lay.word_groups)] for e, lay in zip(explained, layouts)],
+        [lay.instance.rationale_mask[: len(lay.word_groups)] for lay in layouts],
     )["f1"]
     return macro, token
 
@@ -356,7 +358,7 @@ def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig,
             break
         l_task_m, l_exp_m, l_loss_m = (sums / max(count, 1)).tolist()
         macro, token = _validation_scores(model, val, num_classes, stage)
-        criterion = macro + token if stage == 1 else macro
+        criterion = metrics.lambda_criterion(macro, token) if stage == 1 else macro
         history.epochs.append(
             EpochStats(epoch, l_task_m, l_exp_m, l_loss_m, macro, token)
         )
@@ -382,6 +384,8 @@ def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig,
             if bad_epochs >= cfg.patience > 0:
                 history.stopped_early = True
                 break
+    logger.info("stage %d: restored epoch %d of %d%s", stage, history.best_epoch,
+                len(history.epochs), "; stopped early" if history.stopped_early else "")
     model.load_state(best_state)
     return model, history
 
@@ -393,10 +397,7 @@ def train_explainer(train, val, cfg: TrainConfig, vocab: Vocabulary, num_classes
     model_cfg = cfg.model_config(len(vocab), num_classes, vocab_digest=vocab.digest())
     if cfg.head == "span":
         # the span head is as long as the longest laid-out train or val document
-        model_cfg.span_len = max(
-            max((len(lay) - lay.doc_start for lay in layouts), default=1),
-            max(int(b.doc_sublen.max()) for b in val_order.batches),
-        )
+        model_cfg.span_len = max(len(lay) - lay.doc_start for lay in layouts + val_order.layouts)
     model = ExplainerModel(model_cfg, seed=cfg.seed)
     return _train_loop(model, layouts, val_order, cfg, num_classes, stage=1)
 
@@ -548,9 +549,10 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
     A record follows the predictions-file schema: ``label``,
     ``rationale`` (a 0/1 mask over the document), and optionally
     ``spans`` (default: the mask's runs) and ``scores`` (default: the
-    mask). ``faith(masks)`` returns comprehensiveness and sufficiency
-    arrays for the predicted masks; without it both are left out. A
-    record that does not fit its instance raises DataError naming it.
+    mask); a null optional field counts as absent. ``faith(masks)``
+    returns comprehensiveness and sufficiency arrays for the predicted
+    masks; without it both are left out. A record that does not fit its
+    instance raises DataError naming it.
     """
     labels, masks, spans, scores = [], [], [], []
     for inst, rec in zip(instances, predictions):
@@ -568,18 +570,22 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
             raise DataError(f"prediction {inst.uid}: rationale entries must be 0 or 1")
         mask = mask.astype(np.int8)
         masks.append(mask)
-        try:
-            raw_spans = rec.get("spans", metrics.mask_to_spans(mask))
-            inst_spans = [(int(s), int(e)) for s, e in raw_spans]
-        except (TypeError, ValueError):
-            raise DataError(f"prediction {inst.uid}: a span is not a [start, end] pair") from None
-        for s, e in inst_spans:
-            if not 0 <= s < e <= n:
+        if rec.get("spans") is None:
+            spans.append(metrics.mask_to_spans(mask))
+        else:
+            try:
+                inst_spans = [(int(s), int(e)) for s, e in rec["spans"]]
+            except (TypeError, ValueError):
                 raise DataError(
-                    f"prediction {inst.uid}: span ({s}, {e}) is empty, inverted "
-                    f"or outside [0, {n}]"
-                )
-        spans.append(inst_spans)
+                    f"prediction {inst.uid}: a span is not a [start, end] pair"
+                ) from None
+            for s, e in inst_spans:
+                if not 0 <= s < e <= n:
+                    raise DataError(
+                        f"prediction {inst.uid}: span ({s}, {e}) is empty, inverted "
+                        f"or outside [0, {n}]"
+                    )
+            spans.append(inst_spans)
         inst_scores = mask.astype(np.float64)
         if rec.get("scores") is not None:
             inst_scores = _finite_array(inst.uid, "scores", rec["scores"])

@@ -131,6 +131,27 @@ class TestJsonl:
         with pytest.raises(DataError, match="bad-span"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "document, evidences, message",
+        [
+            ([], [], "'document' must be a non-empty array"),
+            (["x", "y"], [{"start_token": 2, "end_token": 1}], r"span \(2, 1\) is empty"),
+            (["x", "y"], [{"start_token": 1, "end_token": 1}], r"span \(1, 1\) is empty"),
+            (["x", "y"], [{"start_token": -1, "end_token": 1}], r"span \(-1, 1\)"),
+            (["x", "y"], [{"start_token": 0, "end_token": 3}], r"outside \[0, 2\]"),
+            (["x", "y"], [{"start_token": False, "end_token": True}], "must be integers"),
+            (["x", "y"], [{"start_token": 0, "end_token": 1.0}], "must be integers"),
+        ],
+        ids=["empty-document", "inverted", "empty-span", "negative", "past-end", "bool", "float"],
+    )
+    def test_bad_document_or_span_names_path_and_line(self, tmp_path, document, evidences, message):
+        path = tmp_path / "d.jsonl"
+        good = {"id": "a", "document": ["x"], "label": 0, "evidences": []}
+        bad = {"id": "b", "document": document, "label": 0, "evidences": evidences}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataError, match=f"{path}:2: .*{message}"):
+            load_jsonl(path)
+
     def test_round_trip_identity(self, tmp_path):
         spec = SyntheticSpec(seed=3)
         splits, label_map = generate_synthetic(spec, 30)
@@ -152,21 +173,9 @@ class TestJsonl:
 
 
 class TestInstanceValidation:
-    def test_mask_span_disagreement_rejected(self):
-        with pytest.raises(DataError, match="disagree"):
-            Instance(
-                uid="z",
-                document=["a", "b"],
-                query=None,
-                label=0,
-                label_raw=0,
-                rationale_mask=np.array([1, 0], dtype=np.int8),
-                rationale_spans=[(1, 2)],
-            ).validate()
-
     def test_empty_document_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            Instance("z", [], None, 0, 0, np.array([], dtype=np.int8), []).validate()
+        with pytest.raises(DataError, match="instance z: empty document"):
+            Instance.from_spans("z", [], None, 0, 0, [])
 
 
 class TestSyntheticGenerator:
@@ -267,15 +276,15 @@ class TestBatchify:
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 1, vocab, max_len=6)
         assert batch.ids.shape[1] == 6
-        assert len(batch.word_groups[0]) == 4  # q, sep, then 4 document words
+        assert len(batch.layouts[0].word_groups) == 4  # q, sep, then 4 document words
         assert batch.ids[0, 0] == vocab.index["q"]
-        assert batch.gold_spans[0] == [(0, 2)]
+        assert batch.layouts[0].gold_spans == [(0, 2)]
 
     def test_gold_targets_follow_word_mask(self):
         inst = self._inst("a", ["w0", "w1", "w2", "w3"], spans=[(1, 3)])
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 1, vocab)
-        np.testing.assert_array_equal(batch.doc_targets[0], [0, 1, 1, 0])
+        np.testing.assert_array_equal(batch.layouts[0].targets, [0, 1, 1, 0])
 
     def test_char_bigram_groups_partition_subtokens(self):
         inst = self._inst("a", ["cat", "dogs"], spans=[(0, 1)])
@@ -283,8 +292,8 @@ class TestBatchify:
         vocab = Vocabulary.build(corpus)
         (batch,) = batchify([inst], 1, vocab, subtoken_mode="char_bigram")
         # cat -> 2 bigrams, dogs -> 3 bigrams
-        assert batch.word_groups[0] == [(0, 2), (2, 5)]
-        np.testing.assert_array_equal(batch.doc_targets[0], [1, 1, 0, 0, 0])
+        assert batch.layouts[0].word_groups == [(0, 2), (2, 5)]
+        np.testing.assert_array_equal(batch.layouts[0].targets, [1, 1, 0, 0, 0])
 
     def test_doc_row_index_addresses_time_major_rows(self):
         insts = [self._inst("a", ["x", "y"]), self._inst("b", ["p", "q", "r"])]
@@ -314,11 +323,25 @@ class TestBatchify:
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 if isinstance(b, np.ndarray):
                     np.testing.assert_array_equal(a, b)
-                elif f.name in ("doc_row_index", "doc_targets"):
+                elif f.name == "doc_row_index":
                     for x, y in zip(a, b, strict=True):
                         np.testing.assert_array_equal(x, y)
                 else:
-                    assert a == b, f.name
+                    assert f.name == "layouts"
+                    for x, y in zip(a, b, strict=True):
+                        assert x.instance is y.instance and x.doc_start == y.doc_start
+                        assert (x.word_groups, x.gold_spans) == (y.word_groups, y.gold_spans)
+                        np.testing.assert_array_equal(x.ids, y.ids)
+                        np.testing.assert_array_equal(x.targets, y.targets)
+
+    def test_batches_hold_the_given_layouts_in_order(self):
+        insts = [self._inst(u, ["x"] * n) for u, n in (("a", 3), ("b", 1), ("c", 2))]
+        layouts = lay_out(insts, self._vocab(insts))
+        order = [layouts[1], layouts[2], layouts[0]]
+        batches = pack(order, 2)
+        held = [lay for b in batches for lay in b.layouts]
+        assert len(held) == 3 and all(x is y for x, y in zip(held, order))
+        assert [len(b.layouts) for b in batches] == [b.size for b in batches] == [2, 1]
 
     def test_query_overflow_rejected(self):
         inst = self._inst("a", ["d"], query=["q"] * 8)

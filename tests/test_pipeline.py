@@ -130,6 +130,27 @@ class TestTrainExplainer:
         )
         assert history.diverged and not history.epochs
 
+    @pytest.mark.parametrize(
+        "patience, expected",
+        [
+            (1, "stage 1: restored epoch 1 of 2; stopped early"),
+            (0, "stage 1: restored epoch 1 of 3"),
+        ],
+        ids=["stopped-early", "ran-out"],
+    )
+    def test_closing_line_names_the_restored_epoch(
+        self, dataset, caplog, monkeypatch, patience, expected
+    ):
+        # a flat validation score: the first epoch stays the best one
+        monkeypatch.setattr(pipeline, "_validation_scores", lambda *args: (0.5, 0.5))
+        cfg = tiny_train_config(epochs=3, patience=patience)
+        with caplog.at_level(logging.INFO, logger="etp.pipeline"):
+            _, history = train_explainer(
+                dataset.splits["train"][:8], dataset.splits["val"], cfg, dataset.vocab, 2
+            )
+        assert history.best_epoch == 1 and history.stopped_early == (patience == 1)
+        assert caplog.records[-1].getMessage() == expected
+
     def test_span_head_trains(self, dataset):
         cfg = tiny_train_config(head="span", epochs=1)
         model, history = train_explainer(
@@ -258,7 +279,7 @@ class TestMaskedDataset:
                 model.encode(batch.ids, batch.pad_mask), batch.doc_mask
             ).data
             sub = scores[batch.doc_row_index[0], 0]
-            words = pool_subtokens(sub, batch.word_groups[0])
+            words = pool_subtokens(sub, batch.layouts[0].word_groups)
             hard = np.zeros(len(inst.document), dtype=np.int8)
             hard[: len(words)] = words >= cfg.threshold
             assert got.document == mask_input(inst.document, hard, cfg.wildcard)
@@ -405,6 +426,20 @@ class TestFaithfulnessComposition:
             assert suff[i] == pytest.approx(metrics.sufficiency(closure, masks[i]), abs=1e-12)
 
 
+class TestScoreReport:
+    def test_null_optional_fields_count_as_absent(self):
+        instances = tiny_dataset(seed=6).splits["test"]
+        label_map = {"0": 0, "1": 1}
+        # rationales off the gold by one word, so every metric reads the spans
+        records = [
+            {"label": inst.label_raw, "rationale": np.roll(inst.rationale_mask, 1).tolist()}
+            for inst in instances
+        ]
+        nulls = [{**rec, "spans": None, "scores": None} for rec in records]
+        assert (pipeline.score_report(instances, nulls, label_map).to_json()
+                == pipeline.score_report(instances, records, label_map).to_json())
+
+
 class TestEndToEnd:
     def test_pipeline_determinism_identical_reports(self):
         reports = []
@@ -530,8 +565,8 @@ class TestEpochBatches:
         dataset, epochs = two_epochs
         uids = sorted(inst.uid for inst in dataset.splits["train"])
         for batches in epochs:
-            assert sorted(i.uid for b in batches for i in b.instances) == uids
-        first, second = ([[i.uid for i in b.instances] for b in bs] for bs in epochs)
+            assert sorted(lay.instance.uid for b in batches for lay in b.layouts) == uids
+        first, second = ([[lay.instance.uid for lay in b.layouts] for b in bs] for bs in epochs)
         assert first != second
 
     def test_batches_hold_documents_of_similar_length(self, two_epochs):
@@ -557,7 +592,7 @@ class TestEpochBatches:
 
         def sequence(seed):
             batches = stage1_batches(train, val, vocab, epochs=2, batch_size=8, seed=seed)
-            return [[i.uid for i in b.instances] for b in batches]
+            return [[lay.instance.uid for lay in b.layouts] for b in batches]
 
         assert sequence(0) == sequence(0)
         assert sequence(0) != sequence(1)

@@ -1,6 +1,7 @@
-"""Property tests of span normalization, the word/sub-token span maps and
-the JSONL round trip (``hypothesis``, derandomized so every run checks the
-same examples). The mask/span round trips are in ``test_metrics.py``."""
+"""Property tests of span normalization, the word/sub-token span maps, the
+rationale an instance is built with, and the JSONL round trip
+(``hypothesis``, derandomized so every run checks the same examples). The
+mask/span round trips are in ``test_metrics.py``."""
 
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etp.data import Instance, load_jsonl, save_jsonl
-from etp.metrics import normalize_spans, spans_to_mask
+from etp.metrics import mask_to_spans, normalize_spans, spans_to_mask
 from etp.models import subtoken_spans_to_words, word_spans_to_subtokens
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -63,6 +64,22 @@ def test_word_to_subtoken_spans_round_trip(case):
     assert subtoken_spans_to_words(word_spans_to_subtokens(spans, groups), groups) == (
         normalize_spans(spans)
     )
+
+
+@st.composite
+def documents_with_spans(draw):
+    doc = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=20))
+    return doc, draw(spans_within(len(doc)))
+
+
+@PROPERTY
+@given(documents_with_spans())
+def test_instance_mask_is_binary_and_agrees_with_its_spans(case):
+    doc, spans = case
+    inst = Instance.from_spans("doc", doc, None, 0, 0, spans)
+    assert inst.rationale_mask.shape == (len(doc),)
+    assert np.isin(inst.rationale_mask, (0, 1)).all()
+    assert mask_to_spans(inst.rationale_mask) == inst.rationale_spans
 
 
 @st.composite

@@ -66,10 +66,11 @@ def test_batched_span_head_matches_per_instance_reference(case):
     T = int(ends.max()) + extra_pad
     pad = (np.arange(T)[None, :] < ends[:, None]).astype(np.float64)
     ids = np.where(pad > 0, rng.integers(4, 9, (B, T)), 0)
-    batch = SimpleNamespace(
-        size=B, doc_start=doc_start, doc_sublen=doc_sublen, gold_spans=spans,
-        word_groups=[[(i, i + 1) for i in range(n)] for n in doc_sublen],
-    )
+    layouts = [
+        SimpleNamespace(gold_spans=s, word_groups=[(i, i + 1) for i in range(n)])
+        for s, n in zip(spans, doc_sublen)
+    ]
+    batch = SimpleNamespace(size=B, doc_start=doc_start, doc_sublen=doc_sublen, layouts=layouts)
     cfg = tiny_train_config(head="span")
 
     enc = model.encode(ids, pad)

@@ -7,7 +7,9 @@ as an imported name, so a re-export from ``etp/__init__`` counts. Code
 that only the tests call belongs in ``tests/``. Two more checks keep a
 moved name from leaving a copy or a stale export behind: every name in
 a module's ``__all__`` exists in that module, and no two modules define
-a top-level function or class of the same name.
+a top-level function or class of the same name. Last, state must be
+read: every attribute the package assigns (``x.name = ...``) is read
+somewhere in the package, the tests or the benchmark.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import etp
 
 SRC = Path(etp.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _definitions_and_references():
@@ -66,3 +69,24 @@ def test_no_two_modules_define_the_same_top_level_name():
                 owners.setdefault(node.name, []).append(path.name)
     shared = {name: where for name, where in owners.items() if len(where) > 1}
     assert not shared, f"top-level names defined in more than one module: {shared}"
+
+
+def _attributes(paths, ctx) -> dict[str, list[str]]:
+    """Attribute names used in ``ctx`` (``ast.Load`` or ``ast.Store``), by where."""
+    found: dict[str, list[str]] = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx):
+                found.setdefault(node.attr, []).append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_assigned_attribute_is_read():
+    src = sorted(SRC.glob("*.py"))
+    outside = [path for d in ("tests", "perfbench") for path in sorted((REPO / d).glob("*.py"))]
+    read = _attributes(src + outside, ast.Load)
+    write_only = {
+        name: where for name, where in _attributes(src, ast.Store).items() if name not in read
+    }
+    assert not write_only, f"assigned in src/etp but never read: {write_only}"

@@ -72,8 +72,11 @@ class Instance:
         normalized, and the mask is built from them, so the two agree."""
         if not document:
             raise DataError(f"instance {uid}: empty document")
-        spans = normalize_spans(spans)
-        mask = spans_to_mask(spans, len(document))
+        try:
+            spans = normalize_spans(spans)
+            mask = spans_to_mask(spans, len(document))
+        except ValueError as exc:
+            raise DataError(f"instance {uid}: {exc}") from None
         return cls(uid, list(document), query, label, label_raw, mask, spans)
 
 

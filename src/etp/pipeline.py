@@ -19,7 +19,7 @@ import csv
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, metrics
 from .autodiff import Tape, Tensor
-from .data import Batch, DataError, Dataset, Instance, Layout, Vocabulary, batchify, build_vocab
+from .data import Batch, DataError, Dataset, Instance, Layout, Vocabulary, build_vocab
 from .data import check_layout, lay_out, load_label_map, pack, save_label_map
+from .data import batchify  # noqa: F401  perfbench/tracing.py wraps the data layer here
 from .models import (
     ExplainerModel,
     ModelConfig,
@@ -190,13 +191,6 @@ def _exp_loss(model: ExplainerModel, enc, batch: Batch, cfg: TrainConfig) -> Ten
     return ad.mul(losses.span_total_loss(start, end), 1.0 / batch.size)
 
 
-def _predict_probs(model, batches: list[Batch]) -> np.ndarray:
-    """Eval-mode class probabilities over pre-built batches."""
-    return np.concatenate(
-        [model.predict_task(model.encode(b.ids, b.pad_mask)).data for b in batches], axis=0
-    )
-
-
 def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> list[InferResult]:
     """One eval-mode explainer pass: each batch is encoded once and both
     heads read that encoding. The results carry the auxiliary head's
@@ -237,34 +231,25 @@ def _explain(model: ExplainerModel, batches: list[Batch], cfg: TrainConfig) -> l
 class _EvalBatches:
     """Forward-only batches over ``instances`` in laid-out length order,
     so that few rows step through padding; ``layouts`` and the passes
-    below list their per-document results in input order. A list that
-    fits in one batch keeps its order."""
+    below list their per-document results in input order."""
 
     def __init__(self, instances, vocab: Vocabulary, cfg: TrainConfig):
         self.cfg = cfg
-        if len(instances) <= cfg.batch_size:
-            self.order = np.arange(len(instances))
-            self.batches = batchify(instances, cfg.batch_size, vocab, cfg.max_len, cfg.subtoken_mode)
-            self.layouts = [lay for b in self.batches for lay in b.layouts]
-            return
         self.layouts = lay_out(instances, vocab, cfg.max_len, cfg.subtoken_mode)
-        self.order = np.argsort([len(lay) for lay in self.layouts], kind="stable")
-        self.batches = pack([self.layouts[i] for i in self.order], cfg.batch_size)
-
-    def restore(self, results):
-        """Per-document results listed in batch order (a list or an
-        array), in input order."""
-        back = np.empty_like(self.order)
-        back[self.order] = np.arange(len(self.order))
-        if isinstance(results, np.ndarray):
-            return results[back]
-        return [results[i] for i in back]
+        order = np.argsort([len(lay) for lay in self.layouts], kind="stable")
+        self.batches = pack([self.layouts[i] for i in order], cfg.batch_size)
+        # back[i]: where input document i sits in batch order
+        self.back = np.argsort(order)
 
     def explain(self, model: ExplainerModel) -> list[InferResult]:
-        return self.restore(_explain(model, self.batches, self.cfg))
+        explained = _explain(model, self.batches, self.cfg)
+        return [explained[i] for i in self.back]
 
     def predict(self, model) -> np.ndarray:
-        return self.restore(_predict_probs(model, self.batches))
+        """Eval-mode class probabilities, one row per document."""
+        probs = [model.predict_task(model.encode(b.ids, b.pad_mask)).data for b in self.batches]
+        # the (0, classes) head shapes the answer for zero documents
+        return np.concatenate([np.empty((0, model.cfg.num_classes)), *probs])[self.back]
 
 
 def _epoch_batches(layouts: list[Layout], batch_size: int, rng: np.random.Generator) -> list[Batch]:
@@ -303,9 +288,11 @@ def _validation_scores(model, val: _EvalBatches, num_classes, stage: int):
 # training loops
 
 
-def _stage_inputs(train, val, vocab: Vocabulary, cfg: TrainConfig):
+def _stage_inputs(train, val, vocab: Vocabulary, cfg: TrainConfig, stage: int):
     """A stage's training set, laid out once for all its epochs, and its
     validation batches."""
+    if not train:
+        raise PipelineError(f"stage {stage} cannot proceed on an empty training set")
     if not val:
         raise PipelineError("validation set must be nonempty")
     return lay_out(train, vocab, cfg.max_len, cfg.subtoken_mode), _EvalBatches(val, vocab, cfg)
@@ -393,7 +380,7 @@ def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig,
 def train_explainer(train, val, cfg: TrainConfig, vocab: Vocabulary, num_classes: int):
     """Phase-one multi-task training; returns the best-epoch explainer."""
     cfg.validate()
-    layouts, val_order = _stage_inputs(train, val, vocab, cfg)
+    layouts, val_order = _stage_inputs(train, val, vocab, cfg, stage=1)
     model_cfg = cfg.model_config(len(vocab), num_classes, vocab_digest=vocab.digest())
     if cfg.head == "span":
         # the span head is as long as the longest laid-out train or val document
@@ -421,9 +408,7 @@ def build_masked_dataset(instances, masks, wildcard: str):
 def train_predictor(masked_train, masked_val, cfg: TrainConfig, vocab: Vocabulary, num_classes: int):
     """Phase-two training on masked inputs, task loss only."""
     cfg.validate()
-    if not masked_train:
-        raise PipelineError("stage 2 cannot proceed on an empty training set")
-    layouts, val_order = _stage_inputs(masked_train, masked_val, vocab, cfg)
+    layouts, val_order = _stage_inputs(masked_train, masked_val, vocab, cfg, stage=2)
     model_cfg = cfg.model_config(len(vocab), num_classes, vocab_digest=vocab.digest())
     model = PredictorModel(model_cfg, seed=cfg.seed + _PREDICTOR_SEED_OFFSET)
     return _train_loop(model, layouts, val_order, cfg, num_classes, stage=2)
@@ -552,8 +537,10 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
     mask); a null optional field counts as absent. ``faith(masks)``
     returns comprehensiveness and sufficiency arrays for the predicted
     masks; without it both are left out. A record that does not fit its
-    instance raises DataError naming it.
+    instance raises DataError naming it, and so does an empty list.
     """
+    if not instances:
+        raise DataError("nothing to score: the split has no instances")
     labels, masks, spans, scores = [], [], [], []
     for inst, rec in zip(instances, predictions):
         n = len(inst.document)
@@ -633,8 +620,6 @@ def score_results(state: PipelineState, instances, results) -> metrics.MetricsRe
 
 def evaluate(state: PipelineState, instances) -> metrics.MetricsReport:
     """Full metric battery for end-to-end predictions on ``instances``."""
-    if not instances:
-        raise PipelineError("cannot evaluate an empty instance list")
     return score_results(state, instances, infer_many(state, instances))
 
 
@@ -682,18 +667,9 @@ def coerce_config(cls, mapping: dict[str, str], **overrides):
 def _write_history_csv(path, history: TrainHistory) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "l_task", "l_exp", "l_loss", "val_macro_f1", "val_token_f1"])
+        writer.writerow([f.name for f in fields(EpochStats)])
         for row in history.epochs:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.l_task),
-                    repr(row.l_exp),
-                    repr(row.l_loss),
-                    repr(row.val_macro_f1),
-                    "" if row.val_token_f1 is None else repr(row.val_token_f1),
-                ]
-            )
+            writer.writerow(["" if v is None else repr(v) for v in astuple(row)])
 
 
 def write_predictions(path, state: PipelineState, results) -> None:

@@ -152,7 +152,10 @@ def gru_sequence(
     step_mask: np.ndarray | None = None,
     reverse: bool = False,
 ) -> Tensor:
-    """Run a GRU over a time-major (T*B, in) block; returns (T*B, H)."""
+    """Run a GRU over a time-major (T*B, in) block; returns (T*B, H).
+    ``hidden`` must be the width H of the weights ``w``."""
+    if w["u_c"].shape != (hidden, hidden):
+        raise ad.DimensionError(f"gru_sequence: hidden={hidden} but u_c is {w['u_c'].shape}")
     xs_all = ad.add(ad.matmul(x, w["w_x"]), w["b"])
     return gru_run(xs_all, w["u_zr"], w["u_c"], seq_len, batch, step_mask, reverse)
 

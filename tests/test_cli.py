@@ -285,6 +285,24 @@ class TestPredictAndEval:
         report_api = json.loads(pipeline.evaluate(state, instances).to_json())
         assert report_cli == report_api
 
+    def test_predict_on_an_empty_split_writes_an_empty_file(self, tmp_path, run_dir):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--run", str(run_dir), "--data", str(empty), "--out", str(out)]) == 0
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("source", ["run", "predictions"])
+    def test_eval_refuses_an_empty_split(self, tmp_path, run_dir, caplog, source):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        given = run_dir if source == "run" else empty
+        with caplog.at_level(logging.ERROR, logger="etp.cli"):
+            rc = cli.main(["eval", "--data", str(empty), f"--{source}", str(given),
+                           "--out", str(tmp_path / "e")])
+        assert rc == 1
+        assert "nothing to score" in caplog.text
+
     def test_gold_as_predictions_scores_perfect_agreement(self, tmp_path, data_dir):
         instances, label_map = load_jsonl(data_dir / "test.jsonl")
         preds_path = tmp_path / "gold_preds.jsonl"

@@ -177,6 +177,15 @@ class TestInstanceValidation:
         with pytest.raises(DataError, match="instance z: empty document"):
             Instance.from_spans("z", [], None, 0, 0, [])
 
+    @pytest.mark.parametrize(
+        "span, message",
+        [((1, 0), r"empty or inverted span \(1, 0\)"), ((0, 5), r"span \(0, 5\) out of range")],
+        ids=["inverted", "past-end"],
+    )
+    def test_bad_span_names_the_instance(self, span, message):
+        with pytest.raises(DataError, match=r"^instance u7: " + message):
+            Instance.from_spans("u7", ["a", "b"], None, 0, 0, [span])
+
 
 class TestSyntheticGenerator:
     def test_fixed_seed_identical_bytes(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import etp.autodiff as ad
 from etp.autodiff import Tape, Tensor
-from etp.rnn import gru_run
+from etp.rnn import gru_run, gru_sequence, init_gru
 
 import reference as ref
 
@@ -69,3 +69,12 @@ class TestStepMaskShape:
 
     def test_right_shape_runs(self):
         assert self._run(np.ones((4, 3))).shape == (12, 2)
+
+
+def test_gru_sequence_rejects_a_hidden_size_its_weights_do_not_have():
+    rng = np.random.default_rng(0)
+    w = init_gru(rng, 4, 3)
+    x = Tensor(rng.normal(size=(8, 4)))
+    assert gru_sequence(x, 4, 2, w, 3).shape == (8, 3)
+    with pytest.raises(ad.DimensionError, match=r"hidden=5 but u_c is \(3, 3\)"):
+        gru_sequence(x, 4, 2, w, 5)

@@ -10,7 +10,7 @@ import pytest
 
 from etp import losses, metrics, pipeline
 from etp.autodiff import Tape
-from etp.data import Dataset, SyntheticSpec, batchify, build_vocab, generate_synthetic
+from etp.data import DataError, Dataset, SyntheticSpec, batchify, build_vocab, generate_synthetic
 from etp.models import _EncoderClassifier, mask_input, pool_subtokens
 from etp.pipeline import (
     PipelineError,
@@ -110,6 +110,10 @@ class TestTrainExplainer:
             )
             curves.append([(e.l_task, e.l_exp, e.l_loss, e.val_macro_f1) for e in history.epochs])
         assert curves[0] == curves[1]
+
+    def test_empty_training_set_rejected(self, dataset):
+        with pytest.raises(PipelineError, match="stage 1 .*empty"):
+            train_explainer([], dataset.splits["val"], tiny_train_config(), dataset.vocab, 2)
 
     def test_empty_validation_rejected(self, dataset):
         with pytest.raises(PipelineError, match="validation"):
@@ -395,6 +399,13 @@ class TestInference:
             assert single.label == res.label
             np.testing.assert_array_equal(single.rationale_mask, res.rationale_mask)
 
+    def test_empty_list_gets_no_results(self, state):
+        assert infer_many(state[0], []) == []
+
+    def test_empty_list_is_not_scored(self, state):
+        with pytest.raises(DataError, match="nothing to score"):
+            evaluate(state[0], [])
+
     def test_span_head_reads_documents_longer_than_its_length(self):
         dataset = tiny_dataset()
         st = run_pipeline(dataset, tiny_train_config(head="span", epochs=1))
@@ -607,7 +618,7 @@ def alternating_lengths(instances):
 
 
 class TestInputOrder:
-    """Calls longer than one batch run in length order and answer in input order."""
+    """Calls run in length order and answer in input order."""
 
     def test_infer_many_matches_per_document_infer(self, state):
         st, dataset = state

@@ -9,7 +9,8 @@ moved name from leaving a copy or a stale export behind: every name in
 a module's ``__all__`` exists in that module, and no two modules define
 a top-level function or class of the same name. Last, state must be
 read: every attribute the package assigns (``x.name = ...``) is read
-somewhere in the package, the tests or the benchmark.
+somewhere in the package, the tests or the benchmark, and every
+parameter a function takes is read in its body.
 """
 
 import ast
@@ -90,3 +91,28 @@ def test_every_assigned_attribute_is_read():
         name: where for name, where in _attributes(src, ast.Store).items() if name not in read
     }
     assert not write_only, f"assigned in src/etp but never read: {write_only}"
+
+
+def test_every_parameter_is_read():
+    ignored = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if dunder or all(isinstance(stmt, ast.Pass) for stmt in node.body):  # a hook
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread = [p for p in params if p not in read and p not in ("self", "cls")]
+            if unread:
+                ignored[f"{path.name}:{node.lineno} {node.name}"] = unread
+    assert not ignored, f"parameters that their function never reads: {ignored}"

@@ -27,6 +27,7 @@ __all__ = [
     "neg",
     "mul",
     "matmul",
+    "affine",
     "concat",
     "sigmoid",
     "tanh",
@@ -250,6 +251,24 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward, "matmul")
 
 
+def affine(x, w, b) -> Tensor:
+    """x @ w + b as one node: the product is not held apart from the sum."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"affine: shapes {x.shape} x {w.shape} do not conform")
+    data = x.data @ w.data
+    try:
+        data += b.data
+    except ValueError:
+        raise DimensionError(f"affine: bias {b.shape} does not broadcast to {data.shape}")
+    sb = b.shape
+
+    def backward(g):
+        return g @ w.data.T, x.data.T @ g, _unbroadcast(g, sb)
+
+    return _node(data, (x, w, b), backward, "affine")
+
+
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     try:
@@ -464,6 +483,7 @@ OPS: dict[str, Callable] = {
     "neg": neg,
     "mul": mul,
     "matmul": matmul,
+    "affine": affine,
     "concat": concat,
     "sigmoid": sigmoid,
     "tanh": tanh,

@@ -65,7 +65,11 @@ def _train_config(args) -> TrainConfig:
         logger.warning("config keys that are not training options are ignored: %s", ", ".join(ignored))
     mapping = {k: v for k, v in mapping.items() if k in known}
     overrides = {k: getattr(args, k) for k in known if getattr(args, k, None) is not None}
-    return coerce_config(TrainConfig, mapping, **overrides).validate()
+    try:
+        cfg = coerce_config(TrainConfig, mapping, **overrides)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    return cfg.validate()
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

@@ -243,8 +243,8 @@ class _EncoderClassifier:
                 raise ad.UsageError("training-mode predict_task needs a dropout rng")
             h = ad.dropout(h, self.cfg.dropout, dropout_rng)
         task = self.params["task"]
-        h = ad.tanh(ad.add(ad.matmul(h, task["w1"]), task["b1"]))
-        logits = ad.add(ad.matmul(h, task["w2"]), task["b2"])
+        h = ad.tanh(ad.affine(h, task["w1"], task["b1"]))
+        logits = ad.affine(h, task["w2"], task["b2"])
         return ad.softmax(logits, axis=-1)
 
     # ------------------------------------------------------------------
@@ -319,7 +319,7 @@ class ExplainerModel(_EncoderClassifier):
             self.cfg.token_gru_hidden,
             step_mask=enc.pad_mask.T,
         )
-        scores = ad.sigmoid(ad.add(ad.matmul(states, head["w"]), head["b"]))
+        scores = ad.sigmoid(ad.affine(states, head["w"], head["b"]))
         force = doc_mask.T.reshape(-1, 1)
         return ad.mul(scores, force)
 

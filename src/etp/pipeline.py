@@ -655,7 +655,12 @@ def coerce_config(cls, mapping: dict[str, str], **overrides):
     for key, raw in mapping.items():
         if key not in by_name:
             raise ValueError(f"unknown config key {key!r} for {cls.__name__}")
-        kwargs[key] = FIELD_TYPES[by_name[key].type](raw)
+        kind = by_name[key].type
+        try:
+            kwargs[key] = FIELD_TYPES[kind](raw)
+        except ValueError:
+            article = "an" if kind == "int" else "a"
+            raise ValueError(f"config key {key!r}: {raw!r} is not {article} {kind}") from None
     kwargs.update(overrides)
     return cls(**kwargs)
 

@@ -39,7 +39,8 @@ def _step(xs: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_c: np.ndarray):
     update/reset/candidate contributions. The new state is
     h + z*(candidate - h): the update gate weights the fresh candidate,
     so zero weights leave a zero state fixed. Returns the new state and
-    the values :func:`_step_backward` needs.
+    the gate values ``(zr, c)`` that :func:`_step_backward` needs besides
+    the input state ``h``, which the run's output already holds.
     """
     hidden = h.shape[1]
     pre = h @ u_zr
@@ -50,13 +51,18 @@ def _step(xs: np.ndarray, h: np.ndarray, u_zr: np.ndarray, u_c: np.ndarray):
     c = rh @ u_c
     c += xs[:, 2 * hidden :]
     np.tanh(c, out=c)
-    return h + z * (c - h), (z, r, c, rh, h)
+    return h + z * (c - h), (zr, c)
 
 
-def _step_backward(g: np.ndarray, saved: tuple, u_zr: np.ndarray, u_c: np.ndarray):
-    """Gradients of one :func:`_step` given the gradient ``g`` of its new
-    state: returns (d xs, d h); :func:`gru_run` derives the weights'."""
-    z, r, c, rh, h = saved
+def _step_backward(
+    g: np.ndarray, saved: tuple, h: np.ndarray, u_zr: np.ndarray, u_c: np.ndarray
+):
+    """Gradients of one :func:`_step` from its input state ``h`` and the
+    gradient ``g`` of its new state: returns (d xs, d h); :func:`gru_run`
+    derives the weights'."""
+    zr, c = saved
+    hidden = h.shape[1]
+    z, r = zr[:, :hidden], zr[:, hidden:]
     gc = g * z * (1.0 - c * c)
     d_rh = gc @ u_c.T
     gr = d_rh * h * r * (1.0 - r)
@@ -109,7 +115,8 @@ def gru_run(
     h = np.zeros((batch, hidden))
     out = np.empty((seq_len * batch, hidden))
     saved: list[tuple] = [()] * seq_len
-    # hold step values only for a backward pass: holding them halves forward speed at B >= 16
+    # hold step values only for a backward pass: holding them halves forward speed at B >= 16;
+    # a step's input state is not held, since out already has it
     record = ad.Tape.current is not None
     for t in order:
         rows = slice(t * batch, (t + 1) * batch)
@@ -120,21 +127,28 @@ def gru_run(
         out[rows] = h
 
     def backward(g):
+        # step t read the state written at the step before it in run order (zero at the first)
+        n = (seq_len - 1) * batch
+        h_prev = np.zeros_like(out)
+        if reverse:
+            h_prev[:n] = out[batch:]
+        else:
+            h_prev[batch:] = out[:n]
         dxs = np.empty_like(xp)
         dh_carry = np.zeros((batch, hidden))
         for t in reversed(order):
             rows = slice(t * batch, (t + 1) * batch)
             g_t = g[rows] + dh_carry
+            h = h_prev[rows]
             if partial[t]:
-                dxs[rows], dh = _step_backward(np.where(keep[t], g_t, 0.0), saved[t], uzr, uc)
+                dxs[rows], dh = _step_backward(np.where(keep[t], g_t, 0.0), saved[t], h, uzr, uc)
                 # a masked step passed its input state straight through
                 dh_carry = np.where(keep[t], dh, g_t)
             else:
-                dxs[rows], dh_carry = _step_backward(g_t, saved[t], uzr, uc)
-        # step t read the state written at the step before it (zero at the first)
-        n = (seq_len - 1) * batch
+                dxs[rows], dh_carry = _step_backward(g_t, saved[t], h, uzr, uc)
         h_in, d_in = (out[batch:], dxs[:n]) if reverse else (out[:n], dxs[batch:])
-        rh = np.array([s[3] for s in saved]).reshape(seq_len * batch, hidden)
+        rh = np.array([zr[:, hidden:] for zr, _ in saved]).reshape(seq_len * batch, hidden)
+        rh *= h_prev
         return dxs, h_in.T @ d_in[:, : 2 * hidden], rh.T @ dxs[:, 2 * hidden :]
 
     return ad._node(out, (x_proj, u_zr, u_c), backward, "gru_run")
@@ -156,7 +170,7 @@ def gru_sequence(
     ``hidden`` must be the width H of the weights ``w``."""
     if w["u_c"].shape != (hidden, hidden):
         raise ad.DimensionError(f"gru_sequence: hidden={hidden} but u_c is {w['u_c'].shape}")
-    xs_all = ad.add(ad.matmul(x, w["w_x"]), w["b"])
+    xs_all = ad.affine(x, w["w_x"], w["b"])
     return gru_run(xs_all, w["u_zr"], w["u_c"], seq_len, batch, step_mask, reverse)
 
 

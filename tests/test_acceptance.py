@@ -178,6 +178,8 @@ def _per_op_configs(seed: int):
     cols = t(4, 8)
     ends_after_start = np.tile(tri.T, (1, 2))
     col_weights = np.arange(32.0).reshape(4, 8)
+    # drawn last: a draw placed earlier would shift every later configuration's values
+    aff_b = t(2)
 
     def run(xp, seq_len, mask, reverse):
         return lambda: ad.tsum(ad.tanh(rnn.gru_run(xp, u_zr, u_c, seq_len, 2, mask, reverse)))
@@ -188,6 +190,7 @@ def _per_op_configs(seed: int):
         "neg": (lambda: ad.tsum(ad.tanh(ad.neg(a34))), [a34]),
         "mul": (lambda: ad.tsum(ad.tanh(ad.mul(a34, col))), [a34, col]),
         "matmul": (lambda: ad.tsum(ad.sigmoid(ad.matmul(m_a, m_b))), [m_a, m_b]),
+        "affine": (lambda: ad.tsum(ad.sigmoid(ad.affine(m_a, m_b, aff_b))), [m_a, m_b, aff_b]),
         "concat": (lambda: ad.tsum(ad.tanh(ad.concat(parts, axis=1))), parts),
         "sigmoid": (lambda: ad.tsum(ad.sigmoid(a34)), [a34]),
         "tanh": (lambda: ad.tsum(ad.tanh(b34)), [b34]),

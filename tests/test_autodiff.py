@@ -136,6 +136,11 @@ class TestPerOpGradients:
         a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
         fd_check(lambda: ad.tsum(ad.sigmoid(ad.matmul(a, b))), [a, b])
 
+    def test_affine(self):
+        rng = np.random.default_rng(4)
+        x, w, b = _rand(rng, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)
+        fd_check(lambda: ad.tsum(ad.sigmoid(ad.affine(x, w, b))), [x, w, b])
+
     def test_concat(self):
         rng = np.random.default_rng(5)
         parts = [_rand(rng, 2, k) for k in (1, 3, 2)]
@@ -216,6 +221,52 @@ class TestPerOpGradients:
         a = _rand(rng, 4, 3)
         r, c = np.array([0, 1, 3, 3]), np.array([2, 0, 1, 1])
         fd_check(lambda: ad.tsum(ad.sigmoid(ad.pick(a, r, c))), [a])
+
+
+class TestAffine:
+    """``affine`` is one node for x @ w + b with exactly the arithmetic of the two-node graph."""
+
+    @staticmethod
+    def _run(project, seed, leaf_input):
+        # one input feeding two projections, the way a BiGRU layer's input feeds both directions
+        rng = np.random.default_rng(seed)
+        x0 = _rand(rng, 5, 4)
+        params = [_rand(rng, 4, 3), _rand(rng, 3), _rand(rng, 4, 3), _rand(rng, 1, 3)]
+        g = rng.normal(size=(5, 6))
+        with Tape() as tape:
+            x = x0 if leaf_input else ad.tanh(x0)
+            both = ad.concat([project(x, *params[:2]), project(x, *params[2:])], axis=1)
+            out = ad.sigmoid(both)
+            tape.backward(ad.tsum(ad.mul(out, g)))
+        return [out.data, x0.grad] + [t.grad for t in params]
+
+    @pytest.mark.parametrize("leaf_input", [True, False], ids=["leaf", "interior"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_add_of_matmul(self, seed, leaf_input):
+        fused = self._run(ad.affine, seed, leaf_input)
+        split = self._run(lambda x, w, b: ad.add(ad.matmul(x, w), b), seed, leaf_input)
+        for got, want in zip(fused, split):
+            np.testing.assert_array_equal(got, want)
+
+    def test_records_one_node(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)), True), Tensor(np.ones(4), True)
+        with Tape() as tape:
+            out = ad.affine(x, w, b)
+        assert [n.op for n in tape.nodes] == ["affine"] and out.parents == (x, w, b)
+
+    @pytest.mark.parametrize(
+        "x, w, b, match",
+        [
+            ((2, 3), (2, 4), (4,), r"\(2, 3\) x \(2, 4\)"),
+            ((3,), (3, 4), (4,), r"\(3,\) x \(3, 4\)"),
+            ((2, 3), (3, 4), (5,), r"bias \(5,\)"),
+            ((2, 3), (3, 4), (3, 4), r"bias \(3, 4\)"),
+        ],
+        ids=["inner", "vector-input", "bias-width", "bias-rows"],
+    )
+    def test_bad_shapes_raise(self, x, w, b, match):
+        with pytest.raises(ad.DimensionError, match=match):
+            ad.affine(np.zeros(x), np.zeros(w), np.zeros(b))
 
 
 class TestSoftmaxInvariants:

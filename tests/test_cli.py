@@ -825,3 +825,11 @@ class TestParser:
             ]
         )
         assert rc == 1
+
+    def test_config_value_of_the_wrong_type_names_its_key_and_file(self, tmp_path, data_dir, caplog):
+        cfg = write_cfg(tmp_path / "c.txt", epochs="abc")
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        assert not out.exists()
+        assert f"{cfg}: config key 'epochs': 'abc' is not an int" in caplog.text

@@ -2,6 +2,7 @@
 on random sizes, directions and padding masks, and its input checks."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,3 +79,22 @@ def test_gru_sequence_rejects_a_hidden_size_its_weights_do_not_have():
     assert gru_sequence(x, 4, 2, w, 3).shape == (8, 3)
     with pytest.raises(ad.DimensionError, match=r"hidden=5 but u_c is \(3, 3\)"):
         gru_sequence(x, 4, 2, w, 5)
+
+
+def test_recording_run_holds_its_output_and_two_gate_arrays_per_step():
+    # a step's input state is the previous step's output, so only zr (2 units) and c are kept
+    B, T, H = 16, 30, 64
+    rng = np.random.default_rng(0)
+    xp = Tensor(rng.normal(size=(T * B, 3 * H)), requires_grad=True)
+    u_zr = Tensor(rng.normal(size=(H, 2 * H)) / 8, requires_grad=True)
+    u_c = Tensor(rng.normal(size=(H, H)) / 8, requires_grad=True)
+    unit = T * B * H * 8
+    with Tape():
+        tracemalloc.start()
+        try:
+            out = gru_run(xp, u_zr, u_c, T, B)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.data.nbytes == unit
+    assert held <= 4.5 * unit, f"a recording run holds {held / unit:.2f} units of T*B*H f64"

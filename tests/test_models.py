@@ -7,7 +7,7 @@ import pytest
 import etp.autodiff as ad
 from etp.autodiff import Tape, Tensor
 from etp.data import Instance, Vocabulary, batchify
-from etp.losses import task_loss, token_explanation_loss
+from etp.losses import combined_loss, task_loss, token_explanation_loss
 from etp.models import (
     ExplainerModel,
     ModelConfig,
@@ -401,6 +401,25 @@ class TestSharedEncoder:
         opt.step()
         after = {k: v for k, v in model.state_arrays().items() if k.startswith("enc.")}
         assert any(not np.array_equal(before[k], after[k]) for k in before)
+
+    def test_training_step_holds_no_projection_twice(self):
+        # each x @ w + b is one affine node, so no matmul product is kept beside its sum
+        model = ExplainerModel(tiny_config(dropout=0.1), seed=27)
+        rng = np.random.default_rng(27)
+        ids, pad = simple_batch(rng)
+        targets = [np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0, 1, 0]), np.array([1.0] * 5 + [0.0])]
+        idx = [np.arange(4) * 3 + 0, np.arange(6) * 3 + 1, np.arange(6) * 3 + 2]
+        with Tape() as tape:
+            enc = model.encode(ids, pad)
+            probs = model.predict_task(enc, train=True, dropout_rng=rng)
+            scores = model.explain_tokens(enc, pad)
+            bd = combined_loss(task_loss(probs, [0, 1, 1]), token_explanation_loss(scores, idx, targets), 1.0)
+            tape.backward(bd.total)
+        kinds = [node.op for node in tape.nodes]
+        # two encoder directions per layer, the token head's GRU and output, two task layers
+        assert kinds.count("affine") == 2 * model.cfg.enc_layers + 2 + 2
+        bias_adds = [n for n in tape.nodes if n.op == "add" and any(q.op == "matmul" for q in n.parents)]
+        assert bias_adds == []
 
     def test_predictor_shares_no_parameters_with_explainer(self):
         explainer = ExplainerModel(tiny_config(), seed=25)

@@ -77,6 +77,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             coerce_config(TrainConfig, {"momentum": "0.9"})
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [("epochs", "abc", "config key 'epochs': 'abc' is not an int"),
+         ("epochs", "2.5", "config key 'epochs': '2.5' is not an int"),
+         ("lam", "x1", "config key 'lam': 'x1' is not a float")],
+        ids=["int-word", "int-decimal", "float"],
+    )
+    def test_value_of_the_wrong_type_names_its_key(self, key, raw, message):
+        with pytest.raises(ValueError) as err:
+            coerce_config(TrainConfig, {key: raw})
+        assert str(err.value) == message
+
 
 class TestTrainExplainer:
     def test_lambda_zero_leaves_explanation_head_at_init(self, dataset):
@@ -333,7 +345,9 @@ class TestTrainPredictor:
             dataset.splits["train"][:4], dataset.splits["val"], tiny_train_config(epochs=1),
             dataset.vocab, 2,
         )
-        assert nodes == [24]
+        # embedding, one BiGRU layer (2 affine, 2 gru_run, concat), pooling, the task
+        # head's dropout and two affine layers, softmax and the task loss
+        assert nodes == [20]
 
 
 @pytest.fixture(scope="module")
@@ -473,6 +487,19 @@ class TestEndToEnd:
         np.testing.assert_array_equal(a.probs, b.probs)
         assert (tmp_path / "run" / "stage1_metrics.csv").exists()
         assert (tmp_path / "run" / "metrics.json").read_text() == report.to_json()
+
+    def test_load_run_names_the_config_key_of_the_wrong_type(self, tmp_path):
+        dataset = tiny_dataset(seed=2)
+        run = tmp_path / "run"
+        save_run(run, run_pipeline(dataset, tiny_train_config(epochs=1)))
+        text = (run / "train_config.txt").read_text()
+        assert "lam = 1.0\n" in text
+        (run / "train_config.txt").write_text(text.replace("lam = 1.0\n", "lam = x1\n"))
+        with pytest.raises(PipelineError) as err:
+            load_run(run)
+        assert str(err.value) == (
+            f"run directory {run}: train_config.txt: config key 'lam': 'x1' is not a float"
+        )
 
     def test_stage2_set_is_filtered_stage1_subset(self):
         dataset = tiny_dataset(seed=4)

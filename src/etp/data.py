@@ -479,53 +479,35 @@ class Layout:
 
     ``ids`` is the [query, separator, document] sub-token id sequence
     (just the document without a query), the document starting at
-    ``doc_start``. ``word_groups`` are the kept words' sub-token ranges,
-    ``gold_spans`` the gold word spans clipped to those words, and
-    ``targets`` the per-document-sub-token rationale targets.
+    ``doc_start``. ``word_groups`` are the kept words' sub-token ranges
+    inside the document.
     """
 
     instance: Instance
     ids: np.ndarray
     doc_start: int
     word_groups: list[tuple[int, int]]
-    gold_spans: list[tuple[int, int]]
-    targets: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
 def _layout_instance(inst: Instance, vocab: Vocabulary, max_len: int, mode: str) -> Layout:
-    prefix: list[str] = []
-    if inst.query is not None:
-        for w in inst.query:
-            prefix.extend(subtokenize(w, mode))
-        prefix.append(vocab.SEP)
-    budget = max_len - len(prefix)
-    if budget < 1:
+    tokens = [sub for w in inst.query or () for sub in subtokenize(w, mode)]
+    tokens += [] if inst.query is None else [vocab.SEP]
+    doc_start = len(tokens)
+    if doc_start >= max_len:
         raise DataError(f"instance {inst.uid}: query alone fills the {max_len}-token budget")
-    word_subs = [subtokenize(w, mode) for w in inst.document]
-    kept_words = 0
-    used = 0
-    for subs in word_subs:
-        if used + len(subs) > budget:
-            break
-        used += len(subs)
-        kept_words += 1
-    if kept_words == 0:
-        raise DataError(f"instance {inst.uid}: first document word does not fit the budget")
     groups = []
-    doc_sub: list[str] = []
-    for subs in word_subs[:kept_words]:
-        groups.append((len(doc_sub), len(doc_sub) + len(subs)))
-        doc_sub.extend(subs)
-    spans = [
-        (s, min(e, kept_words)) for s, e in inst.rationale_spans if s < kept_words
-    ]
-    targets = np.zeros(len(doc_sub))
-    for w, (gs, ge) in enumerate(groups):
-        targets[gs:ge] = inst.rationale_mask[w]
-    return Layout(inst, vocab.encode(prefix + doc_sub), len(prefix), groups, spans, targets)
+    for w in inst.document:
+        subs = subtokenize(w, mode)
+        if len(tokens) + len(subs) > max_len:
+            break
+        groups.append((len(tokens) - doc_start, len(tokens) + len(subs) - doc_start))
+        tokens.extend(subs)
+    if not groups:
+        raise DataError(f"instance {inst.uid}: first document word does not fit the budget")
+    return Layout(inst, vocab.encode(tokens), doc_start, groups)
 
 
 def lay_out(

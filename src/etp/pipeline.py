@@ -117,6 +117,10 @@ class TrainConfig(ModelOptions):
             raise ValueError(f"unknown exp_weighting {self.exp_weighting!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        back = parse_flat_config(dump_flat_config(self))  # drops '#...' and edge whitespace
+        for name, value in ((f.name, str(getattr(self, f.name))) for f in fields(self)):
+            if back.get(name) != value:
+                raise ValueError(f"{name} {value!r} would not read back from train_config.txt")
         return self
 
     def model_config(
@@ -173,14 +177,25 @@ class InferResult:
 # forward helpers
 
 
+def _token_targets(lay: Layout) -> np.ndarray:
+    """Each kept word's gold bit, once per sub-token of the word."""
+    gold = lay.instance.rationale_mask[: len(lay.word_groups)]
+    return np.repeat(gold, [ge - gs for gs, ge in lay.word_groups])
+
+
+def _gold_spans(lay: Layout) -> list[tuple[int, int]]:
+    """The gold word spans clipped to the kept words."""
+    n = len(lay.word_groups)
+    return [(s, min(e, n)) for s, e in lay.instance.rationale_spans if s < n]
+
+
 def _exp_loss(model: ExplainerModel, enc, batch: Batch, cfg: TrainConfig) -> Tensor:
     if cfg.head == "token":
         scores = model.explain_tokens(enc, batch.doc_mask)
-        return losses.token_explanation_loss(
-            scores, batch.doc_row_index, [lay.targets for lay in batch.layouts], cfg.exp_weighting
-        )
+        targets = [_token_targets(lay) for lay in batch.layouts]
+        return losses.token_explanation_loss(scores, batch.doc_row_index, targets, cfg.exp_weighting)
     sf = model.explain_spans(enc, batch.doc_start, batch.doc_sublen)
-    doc_spans = [word_spans_to_subtokens(lay.gold_spans, lay.word_groups) for lay in batch.layouts]
+    doc_spans = [word_spans_to_subtokens(_gold_spans(lay), lay.word_groups) for lay in batch.layouts]
     targets = np.zeros_like(sf.valid)
     for b, spans in enumerate(doc_spans):
         for s, _ in spans:
@@ -537,10 +552,13 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
     mask); a null optional field counts as absent. ``faith(masks)``
     returns comprehensiveness and sufficiency arrays for the predicted
     masks; without it both are left out. A record that does not fit its
-    instance raises DataError naming it, and so does an empty list.
+    instance raises DataError naming it, and so do an empty list and a
+    record count other than the instance count.
     """
     if not instances:
         raise DataError("nothing to score: the split has no instances")
+    if len(predictions) != len(instances):
+        raise DataError(f"{len(predictions)} prediction records for {len(instances)} instances")
     labels, masks, spans, scores = [], [], [], []
     for inst, rec in zip(instances, predictions):
         n = len(inst.document)
@@ -550,7 +568,7 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
         if str(raw) not in label_map:
             raise DataError(f"prediction {inst.uid}: unknown label {raw!r}")
         labels.append(label_map[str(raw)])
-        mask = _finite_array(inst.uid, "rationale", rec["rationale"])
+        mask = _finite_array(inst.uid, "rationale", rec.get("rationale"))
         if mask.shape != (n,):
             raise DataError(f"prediction {inst.uid}: rationale length mismatch")
         if not np.isin(mask, (0, 1)).all():
@@ -561,17 +579,16 @@ def score_report(instances, predictions, label_map, faith=None) -> metrics.Metri
             spans.append(metrics.mask_to_spans(mask))
         else:
             try:
-                inst_spans = [(int(s), int(e)) for s, e in rec["spans"]]
+                inst_spans = [(s, e) for s, e in rec["spans"]]
             except (TypeError, ValueError):
-                raise DataError(
-                    f"prediction {inst.uid}: a span is not a [start, end] pair"
-                ) from None
+                inst_spans = None
+            # the rule data files follow for evidence offsets: a bool is not an offset
+            if inst_spans is None or any(type(v) is not int for span in inst_spans for v in span):
+                raise DataError(f"prediction {inst.uid}: a span is not a [start, end] integer pair")
             for s, e in inst_spans:
                 if not 0 <= s < e <= n:
-                    raise DataError(
-                        f"prediction {inst.uid}: span ({s}, {e}) is empty, inverted "
-                        f"or outside [0, {n}]"
-                    )
+                    raise DataError(f"prediction {inst.uid}: span ({s}, {e}) is empty, inverted "
+                                    f"or outside [0, {n}]")
             spans.append(inst_spans)
         inst_scores = mask.astype(np.float64)
         if rec.get("scores") is not None:

@@ -244,6 +244,24 @@ class TestTrain:
         assert not out.exists()
         assert message in caplog.text
 
+    @pytest.mark.parametrize("wildcard", ["#", " x", "a#b", "?"])
+    def test_a_run_loads_with_every_wildcard_train_accepts(
+        self, tmp_path, data_dir, caplog, wildcard
+    ):
+        # train_config.txt drops a '#' and what follows it, and whitespace at either end
+        cfg = write_cfg(tmp_path / "cfg.txt", epochs="1")
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg),
+                       "--wildcard", wildcard])
+        assert rc == (0 if wildcard == "?" else 1)
+        if rc:
+            assert not out.exists()
+            assert f"wildcard {wildcard!r} would not read back from train_config.txt" in caplog.text
+            return
+        rc = cli.main(["predict", "--run", str(out), "--data", str(data_dir / "test.jsonl"),
+                       "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 0
+
     @pytest.mark.parametrize(
         "text",
         ["[1, 2]", '{"0": "x"}', '{"0": 0, "1": 5}'],
@@ -401,6 +419,9 @@ class TestPredictAndEval:
             ("spans", [[3, 1]], "span"),
             ("spans", [[0, 99]], "span"),
             ("spans", [[None, 2]], "span"),
+            ("spans", [[0.9, 2.7]], "a span is not a [start, end] integer pair"),
+            ("spans", [[True, 3]], "a span is not a [start, end] integer pair"),
+            ("spans", [["1", "3"]], "a span is not a [start, end] integer pair"),
             # a callable gives the field's value from the document length
             ("rationale", lambda n: [0.5, 1] + [0] * (n - 2), "rationale entries must be 0 or 1"),
             ("rationale", lambda n: [2, 1] + [0] * (n - 2), "rationale entries must be 0 or 1"),
@@ -414,6 +435,9 @@ class TestPredictAndEval:
             "inverted-span",
             "span-past-end",
             "span-not-a-pair",
+            "span-float",
+            "span-bool",
+            "span-string",
             "rationale-fraction",
             "rationale-two",
             "scores-null",

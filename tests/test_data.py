@@ -8,10 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from etp import data
 from etp.data import (
     Batch,
     DataError,
     Instance,
+    Layout,
     SyntheticSpec,
     Vocabulary,
     batchify,
@@ -25,6 +27,7 @@ from etp.data import (
     subtokenize,
     write_dataset,
 )
+from etp.pipeline import _gold_spans, _token_targets
 
 
 class TestVocabulary:
@@ -287,13 +290,20 @@ class TestBatchify:
         assert batch.ids.shape[1] == 6
         assert len(batch.layouts[0].word_groups) == 4  # q, sep, then 4 document words
         assert batch.ids[0, 0] == vocab.index["q"]
-        assert batch.layouts[0].gold_spans == [(0, 2)]
+        assert _gold_spans(batch.layouts[0]) == [(0, 2)]
+
+    def test_gold_spans_are_clipped_to_the_kept_words(self):
+        inst = self._inst("a", [f"d{i}" for i in range(6)], spans=[(1, 2), (3, 6)])
+        (lay,) = lay_out([inst], self._vocab([inst]), max_len=4)
+        assert _gold_spans(lay) == [(1, 2), (3, 4)]
+        (lay,) = lay_out([inst], self._vocab([inst]), max_len=3)
+        assert _gold_spans(lay) == [(1, 2)]
 
     def test_gold_targets_follow_word_mask(self):
         inst = self._inst("a", ["w0", "w1", "w2", "w3"], spans=[(1, 3)])
         vocab = self._vocab([inst])
         (batch,) = batchify([inst], 1, vocab)
-        np.testing.assert_array_equal(batch.layouts[0].targets, [0, 1, 1, 0])
+        np.testing.assert_array_equal(_token_targets(batch.layouts[0]), [0, 1, 1, 0])
 
     def test_char_bigram_groups_partition_subtokens(self):
         inst = self._inst("a", ["cat", "dogs"], spans=[(0, 1)])
@@ -302,7 +312,7 @@ class TestBatchify:
         (batch,) = batchify([inst], 1, vocab, subtoken_mode="char_bigram")
         # cat -> 2 bigrams, dogs -> 3 bigrams
         assert batch.layouts[0].word_groups == [(0, 2), (2, 5)]
-        np.testing.assert_array_equal(batch.layouts[0].targets, [1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(_token_targets(batch.layouts[0]), [1, 1, 0, 0, 0])
 
     def test_doc_row_index_addresses_time_major_rows(self):
         insts = [self._inst("a", ["x", "y"]), self._inst("b", ["p", "q", "r"])]
@@ -339,9 +349,9 @@ class TestBatchify:
                     assert f.name == "layouts"
                     for x, y in zip(a, b, strict=True):
                         assert x.instance is y.instance and x.doc_start == y.doc_start
-                        assert (x.word_groups, x.gold_spans) == (y.word_groups, y.gold_spans)
+                        assert (x.word_groups, _gold_spans(x)) == (y.word_groups, _gold_spans(y))
                         np.testing.assert_array_equal(x.ids, y.ids)
-                        np.testing.assert_array_equal(x.targets, y.targets)
+                        np.testing.assert_array_equal(_token_targets(x), _token_targets(y))
 
     def test_batches_hold_the_given_layouts_in_order(self):
         insts = [self._inst(u, ["x"] * n) for u, n in (("a", 3), ("b", 1), ("c", 2))]
@@ -351,6 +361,24 @@ class TestBatchify:
         held = [lay for b in batches for lay in b.layouts]
         assert len(held) == 3 and all(x is y for x, y in zip(held, order))
         assert [len(b.layouts) for b in batches] == [b.size for b in batches] == [2, 1]
+
+    def test_layout_holds_only_what_the_network_reads(self):
+        names = [f.name for f in dataclasses.fields(Layout)]
+        assert names == ["instance", "ids", "doc_start", "word_groups"]
+
+    def test_truncation_stops_subtokenizing_at_the_first_word_past_the_budget(self, monkeypatch):
+        inst = self._inst("a", [f"w{i % 7}" for i in range(1000)])
+        vocab = self._vocab([inst])
+        calls = []
+
+        def counting(word, mode="word"):
+            calls.append(word)
+            return subtokenize(word, mode)
+
+        monkeypatch.setattr(data, "subtokenize", counting)
+        (lay,) = lay_out([inst], vocab, max_len=8)
+        assert len(lay) == len(lay.word_groups) == 8
+        assert len(calls) <= 9
 
     def test_query_overflow_rejected(self):
         inst = self._inst("a", ["d"], query=["q"] * 8)

@@ -73,6 +73,17 @@ class TestTrainConfig:
         again = coerce_config(TrainConfig, parse_flat_config(text))
         assert again == cfg
 
+    @pytest.mark.parametrize("wildcard", ["#", " x", "a#b", "x ", "\x85", "\r", "?", "a=b", "<w>"])
+    def test_every_accepted_wildcard_reads_back(self, wildcard):
+        cfg = tiny_train_config(wildcard=wildcard)
+        lost = wildcard != wildcard.strip() or "#" in wildcard or len(wildcard.splitlines()) != 1
+        if lost:
+            with pytest.raises(ValueError, match="wildcard .* would not read back"):
+                cfg.validate()
+        else:
+            text = dump_flat_config(cfg.validate())
+            assert coerce_config(TrainConfig, parse_flat_config(text)) == cfg
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             coerce_config(TrainConfig, {"momentum": "0.9"})
@@ -463,6 +474,22 @@ class TestScoreReport:
         nulls = [{**rec, "spans": None, "scores": None} for rec in records]
         assert (pipeline.score_report(instances, nulls, label_map).to_json()
                 == pipeline.score_report(instances, records, label_map).to_json())
+
+    def test_record_without_rationale_is_data_error_naming_it(self):
+        instances = tiny_dataset(seed=6).splits["test"]
+        records = [{"label": inst.label_raw} for inst in instances]
+        with pytest.raises(DataError, match=f"prediction {instances[0].uid}: rationale"):
+            pipeline.score_report(instances, records, {"0": 0, "1": 1})
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_record_count_other_than_instance_count_is_data_error(self, cut):
+        instances = tiny_dataset(seed=6).splits["test"]
+        records = [{"label": inst.label_raw, "rationale": inst.rationale_mask.tolist()}
+                   for inst in instances]
+        records = records[:cut] if cut < 0 else records + records[:cut]
+        with pytest.raises(DataError, match=f"{len(records)} prediction records for "
+                                            f"{len(instances)} instances"):
+            pipeline.score_report(instances, records, {"0": 0, "1": 1})
 
 
 class TestEndToEnd:

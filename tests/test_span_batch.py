@@ -67,7 +67,8 @@ def test_batched_span_head_matches_per_instance_reference(case):
     pad = (np.arange(T)[None, :] < ends[:, None]).astype(np.float64)
     ids = np.where(pad > 0, rng.integers(4, 9, (B, T)), 0)
     layouts = [
-        SimpleNamespace(gold_spans=s, word_groups=[(i, i + 1) for i in range(n)])
+        SimpleNamespace(instance=SimpleNamespace(rationale_spans=s),
+                        word_groups=[(i, i + 1) for i in range(n)])
         for s, n in zip(spans, doc_sublen)
     ]
     batch = SimpleNamespace(size=B, doc_start=doc_start, doc_sublen=doc_sublen, layouts=layouts)

@@ -1,10 +1,14 @@
-"""Dense f64 tensors with reverse-mode automatic differentiation.
+"""Dense f32 or f64 tensors with reverse-mode automatic differentiation.
 
-Values are plain numpy arrays wrapped in :class:`Tensor`. While a
-:class:`Tape` is active, every op appends its result node (with parent
-references and a backward rule) to the tape; creation order is already a
-topological order, so the backward pass is a single reverse sweep that
-visits each node exactly once. With no active tape, ops are pure numpy
+Values are plain numpy arrays wrapped in :class:`Tensor`. A graph computes
+in the dtype of its operands: numpy's promotion rules decide each op's
+result, so an f32 graph stays f32 until it meets an f64 constant, and the
+backward sweep hands every node its gradient in the node's own dtype.
+
+While a :class:`Tape` is active, every op appends its result node (with
+parent references and a backward rule) to the tape; creation order is
+already a topological order, so the backward pass is a single reverse
+sweep that visits each node exactly once. With no active tape, ops are pure numpy
 and build no graph, which is what evaluation-mode forward passes use.
 
 Only 1-D and 2-D arrays are supported; that is all the models here need.
@@ -54,7 +58,10 @@ class UsageError(RuntimeError):
 
 
 class Tensor:
-    """A dense float64 array, optionally a differentiable graph node.
+    """A dense float32 or float64 array, optionally a differentiable graph node.
+
+    An f32 array stays f32; anything else (f64, integers, Python scalars)
+    is stored as f64.
 
     Leaf tensors created with ``requires_grad=True`` own a same-shape
     ``grad`` buffer that ``Tape.backward`` accumulates into. Tensors
@@ -65,8 +72,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "op", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        # storage is always row-major f64
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        # storage is always row-major, f32 if given f32 and f64 otherwise
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        arr = np.ascontiguousarray(data, dtype=dtype)
         if arr.ndim > 2:
             raise DimensionError(f"tensors are at most 2-D, got shape {arr.shape}")
         self.data = arr
@@ -130,7 +138,8 @@ class Tape:
         ``loss`` must be a scalar recorded on this tape. Gradients of
         interior nodes are held in a scratch table and discarded; leaf
         gradients accumulate into their ``grad`` buffers (callers zero
-        them between steps).
+        them between steps). Each gradient is cast to its node's dtype,
+        so an f32 graph under an f64 loss runs its backward in f32.
         """
         if not isinstance(loss, Tensor):
             raise UsageError("backward expects a Tensor loss")
@@ -144,6 +153,7 @@ class Tape:
             for parent, pg in zip(node.parents, node._backward(g)):
                 if pg is None:
                     continue
+                pg = pg.astype(parent.data.dtype, copy=False)
                 if parent._backward is not None:
                     acc = table.get(id(parent))
                     table[id(parent)] = pg if acc is None else acc + pg
@@ -391,7 +401,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
         raise UsageError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
+    keep = ((rng.random(a.shape) >= p) / (1.0 - p)).astype(a.data.dtype)
 
     def backward(g):
         return (g * keep,)
@@ -412,7 +422,7 @@ def _gather_rows(a: Tensor, idx: np.ndarray, op: str) -> Tensor:
     shape = a.shape
 
     def backward(g):
-        buf = np.zeros(shape)
+        buf = np.zeros(shape, a.data.dtype)
         np.add.at(buf, idx, g)
         return (buf,)
 
@@ -469,7 +479,7 @@ def pick(a, row_idx, col_idx) -> Tensor:
     shape = a.shape
 
     def backward(g):
-        buf = np.zeros(shape)
+        buf = np.zeros(shape, a.data.dtype)
         np.add.at(buf, (r, c), g)
         return (buf,)
 

@@ -130,11 +130,13 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        Path(path).write_bytes(("\n".join(self.tokens) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        r"""Read back what :meth:`save` wrote: lines end at ``\n`` alone, so
+        a token holding ``\r``, ``\x85`` or another line break survives."""
+        lines = Path(path).read_bytes().decode("utf-8").split("\n")
         return cls([ln for ln in lines if ln])
 
 

@@ -11,7 +11,9 @@ span ends conditioned on each start, restricted to positions at or
 after the start.
 
 All activations for a batch live in time-major (T*B, dim) matrices; see
-:mod:`etp.rnn` for the layout convention.
+:mod:`etp.rnn` for the layout convention. A model computes in its
+parameters' dtype: a model built from a config is f64, and one that loads
+f32 arrays (as training and f32 checkpoints do) runs in f32.
 """
 
 from __future__ import annotations
@@ -182,15 +184,27 @@ class _EncoderClassifier:
     def parameters(self) -> dict[str, Tensor]:
         return _flatten(self.params)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the model computes in: that of its parameters."""
+        return self.params["enc"]["embedding"].data.dtype
+
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy in a whole parameter set, all f32 or all f64; the model adopts
+        that dtype, and its gradient buffers are reset to zeros of it."""
         params = self.parameters()
         if set(arrays) != set(params):
             missing = set(params) ^ set(arrays)
             raise ValueError(f"checkpoint parameter set mismatch: {sorted(missing)}")
+        dtypes = sorted({str(a.dtype) for a in arrays.values()})
+        if dtypes not in (["float32"], ["float64"]):
+            raise ValueError(f"parameters must all be float32 or all float64, got {', '.join(dtypes)}")
         for name, p in params.items():
             if arrays[name].shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arrays[name].shape} vs {p.data.shape}")
-            p.data[...] = arrays[name]
+        for name, p in params.items():
+            p.data = np.array(arrays[name], order="C")
+            p.grad = np.zeros_like(p.data)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters().items()}
@@ -206,7 +220,7 @@ class _EncoderClassifier:
         contribute nothing to the pooled mean.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        pad_mask = np.asarray(pad_mask, dtype=np.float64)
+        pad_mask = np.asarray(pad_mask, dtype=self.dtype)
         if ids.ndim != 2 or pad_mask.shape != ids.shape:
             raise ad.DimensionError(f"encode: ids {ids.shape} vs mask {pad_mask.shape}")
         if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
@@ -305,7 +319,7 @@ class ExplainerModel(_EncoderClassifier):
         """
         if self.cfg.head != "token":
             raise ad.UsageError("explain_tokens requires the token head variant")
-        doc_mask = np.asarray(doc_mask, dtype=np.float64)
+        doc_mask = np.asarray(doc_mask, dtype=self.dtype)
         if doc_mask.shape != (enc.batch, enc.seq_len):
             raise ad.DimensionError(
                 f"explain_tokens: doc mask {doc_mask.shape} vs batch ({enc.batch}, {enc.seq_len})"
@@ -353,11 +367,11 @@ class ExplainerModel(_EncoderClassifier):
 
         tt = np.arange(L)[:, None]
         bb = np.arange(B)[None, :]
-        valid = (tt < doc_sublen[None, :]).astype(np.float64)
+        valid = (tt < doc_sublen[None, :]).astype(self.dtype)
         zero_row = T * B
         gather = np.where(valid > 0, (doc_start[None, :] + tt) * B + bb, zero_row).reshape(-1)
 
-        aug = ad.concat([enc.token_reps, Tensor(np.zeros((1, cfg.d_rep)))], axis=0)
+        aug = ad.concat([enc.token_reps, Tensor(np.zeros((1, cfg.d_rep), self.dtype))], axis=0)
         passage = ad.take_rows(aug, gather)
         m1 = rnn.bigru(passage, L, B, head["rnn1"], d, step_mask=valid)
 
@@ -378,7 +392,8 @@ class ExplainerModel(_EncoderClassifier):
         # end logits in the (L, B*L) view: entry (t, b*L+i) scores end t
         # for start i of instance b, normalized over the ends t >= i
         logits = ad.reshape(ad.matmul(readout, ad.transpose(head["end_w"])), (L, B * L))
-        mask = np.tile(np.where(np.tril(np.ones((L, L))) > 0, 0.0, -np.inf), (1, B))
+        ends = np.where(np.tril(np.ones((L, L))) > 0, 0.0, -np.inf).astype(self.dtype)
+        mask = np.tile(ends, (1, B))
         p_end = ad.softmax(logits, mask=mask, axis=0)
         return SpanForward(p_start=p_start, p_end=ad.transpose(p_end), valid=valid)
 
@@ -477,11 +492,7 @@ def load_checkpoint(path):
                 raise ValueError("meta is not a JSON object")
             if meta.get("format") != CHECKPOINT_FORMAT:
                 raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-            arrays = {
-                key[len("param:") :]: zf[key].astype(np.float64)
-                for key in zf.files
-                if key.startswith("param:")
-            }
+            arrays = {key[len("param:") :]: zf[key] for key in zf.files if key.startswith("param:")}
         return meta["kind"], ModelConfig(**meta["config"]), arrays
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a readable checkpoint ({exc})") from None

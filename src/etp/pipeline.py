@@ -317,7 +317,9 @@ def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig,
                 stage: int):
     """Shared epoch loop; stage 1 optimizes the combined loss and stops
     on macro F1 + token F1, stage 2 optimizes the task loss alone and
-    stops on macro F1."""
+    stops on macro F1. The model trains in f32: it keeps the draws of its
+    init, and every activation, gradient and Adam moment follows."""
+    model.load_state({name: a.astype(np.float32) for name, a in model.state_arrays().items()})
     opt = Adam(model.parameters(), lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(cfg.seed + 11 + stage)
     dropout_rng = np.random.default_rng(cfg.seed + 23 + stage)

@@ -112,8 +112,9 @@ def gru_run(
     partial = np.zeros(seq_len, bool) if keep is None else ~keep.all(axis=(1, 2))
     xp = x_proj.data
     uzr, uc = u_zr.data, u_c.data
-    h = np.zeros((batch, hidden))
-    out = np.empty((seq_len * batch, hidden))
+    # the state buffers take the input's dtype, so an f32 run stays f32
+    h = np.zeros((batch, hidden), xp.dtype)
+    out = np.empty((seq_len * batch, hidden), xp.dtype)
     saved: list[tuple] = [()] * seq_len
     # hold step values only for a backward pass: holding them halves forward speed at B >= 16;
     # a step's input state is not held, since out already has it
@@ -135,7 +136,7 @@ def gru_run(
         else:
             h_prev[batch:] = out[:n]
         dxs = np.empty_like(xp)
-        dh_carry = np.zeros((batch, hidden))
+        dh_carry = np.zeros((batch, hidden), xp.dtype)
         for t in reversed(order):
             rows = slice(t * batch, (t + 1) * batch)
             g_t = g[rows] + dh_carry

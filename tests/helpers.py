@@ -52,6 +52,11 @@ def param_group(model, prefix):
     return {k: p for k, p in model.parameters().items() if k.startswith(prefix)}
 
 
+def state_as(model, dtype):
+    """A model's parameter arrays cast to ``dtype``, for ``load_state``."""
+    return {name: a.astype(dtype) for name, a in model.state_arrays().items()}
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -51,6 +51,16 @@ class TestVocabulary:
         assert Vocabulary.build(["zebra", "apples"]).digest() != vocab.digest()
         assert Vocabulary.build(["zebra", "apple"], wildcard="_").digest() != vocab.digest()
 
+    def test_tokens_holding_other_line_breaks_survive_save_and_load(self, tmp_path):
+        # only "\n" ends a line of vocab.txt; every other break a token may hold is kept
+        words = ["a\x85b", "c\rd", "x", "e\u2028f", "g\x0bh", "i\x1cj", "k\u2029l", "m\x0cn"]
+        vocab = Vocabulary.build(words)
+        vocab.save(tmp_path / "vocab.txt")
+        again = Vocabulary.load(tmp_path / "vocab.txt")
+        assert again.tokens == vocab.tokens
+        assert len(again) == Vocabulary.N_RESERVED + len(words)
+        assert again.digest() == vocab.digest()
+
     def test_unknown_maps_to_unk(self):
         vocab = Vocabulary.build(["a"])
         np.testing.assert_array_equal(vocab.encode(["a", "never-seen"]), [4, vocab.unk_id])

@@ -24,7 +24,7 @@ from etp.models import (
 from etp.optim import Adam
 
 import reference as ref
-from helpers import fd_check, param_group
+from helpers import fd_check, param_group, state_as
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -427,6 +427,66 @@ class TestSharedEncoder:
         explainer_ids = {id(p) for p in explainer.parameters().values()}
         predictor_ids = {id(p) for p in predictor.parameters().values()}
         assert explainer_ids.isdisjoint(predictor_ids)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("cls,head", [(ExplainerModel, "token"), (ExplainerModel, "span"),
+                                          (PredictorModel, "token")])
+    def test_model_built_from_a_config_computes_in_f64(self, cls, head):
+        model = cls(tiny_config(head=head), seed=34)
+        assert model.dtype == np.float64
+        assert {(p.data.dtype, p.grad.dtype) for p in model.parameters().values()} == {
+            (np.dtype(np.float64), np.dtype(np.float64))
+        }
+        ids, pad = simple_batch(np.random.default_rng(34))
+        assert model.predict_task(model.encode(ids, pad)).data.dtype == np.float64
+
+    @pytest.mark.parametrize("head", ["token", "span"])
+    def test_f32_state_computes_in_f32_close_to_f64(self, head):
+        wide = ExplainerModel(tiny_config(head=head), seed=35)
+        narrow = ExplainerModel(tiny_config(head=head), seed=35)
+        narrow.load_state(state_as(wide, np.float32))
+        assert narrow.dtype == np.float32
+        assert {p.grad.dtype for p in narrow.parameters().values()} == {np.dtype(np.float32)}
+        ids, pad = simple_batch(np.random.default_rng(35))
+        outputs = []
+        for model in (wide, narrow):
+            enc = model.encode(ids, pad)
+            if head == "token":
+                scores = model.explain_tokens(enc, pad).data
+            else:
+                sf = model.explain_spans(enc, np.zeros(3, int), pad.sum(axis=1).astype(int))
+                scores = np.concatenate([sf.p_start.data, sf.p_end.data.reshape(-1)])
+            outputs.append((model.predict_task(enc).data, scores))
+        for wide_out, narrow_out in zip(*outputs):
+            assert narrow_out.dtype == np.float32
+            np.testing.assert_allclose(narrow_out, wide_out, rtol=1e-4, atol=1e-6)
+
+    def test_f32_checkpoint_loads_as_f32(self, tmp_path):
+        model = ExplainerModel(tiny_config(), seed=36)
+        model.load_state(state_as(model, np.float32))
+        model.save(tmp_path / "model.npz")
+        assert {a.dtype for a in load_checkpoint(tmp_path / "model.npz")[2].values()} == {
+            np.dtype(np.float32)
+        }
+        again = ExplainerModel.load(tmp_path / "model.npz")
+        assert again.dtype == np.float32
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(again.parameters()[name].data, p.data)
+
+    @pytest.mark.parametrize("kind", ["int", "f16", "mixed"])
+    def test_parameter_set_of_another_dtype_is_value_error_naming_the_file(self, tmp_path, kind):
+        model = ExplainerModel(tiny_config(), seed=37)
+        if kind == "mixed":
+            arrays = model.state_arrays()
+            arrays["exp.w"] = arrays["exp.w"].astype(np.float32)
+        else:
+            arrays = state_as(model, {"int": np.int64, "f16": np.float16}[kind])
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, "explainer", model.cfg, arrays)
+        message = r"model\.npz: parameters must all be float32 or all float64, got"
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
 
 
 class TestCheckpoints:

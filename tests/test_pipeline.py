@@ -11,7 +11,7 @@ import pytest
 from etp import losses, metrics, pipeline
 from etp.autodiff import Tape
 from etp.data import DataError, Dataset, SyntheticSpec, batchify, build_vocab, generate_synthetic
-from etp.models import _EncoderClassifier, mask_input, pool_subtokens
+from etp.models import _EncoderClassifier, load_checkpoint, mask_input, pool_subtokens
 from etp.pipeline import (
     PipelineError,
     TrainConfig,
@@ -33,7 +33,7 @@ from etp.pipeline import (
 )
 
 from conftest import tiny_dataset, tiny_train_config
-from helpers import param_group
+from helpers import param_group, state_as
 from reference import keep_mask_closure
 
 
@@ -108,6 +108,8 @@ class TestTrainExplainer:
             dataset.splits["train"], dataset.splits["val"], cfg, dataset.vocab, 2
         )
         fresh = type(model)(model.cfg, seed=cfg.seed)
+        # the pipeline trains in f32: compare with the init in the model's dtype
+        fresh.load_state(state_as(fresh, model.dtype))
         for name, p in param_group(model, "exp.").items():
             np.testing.assert_array_equal(p.data, param_group(fresh, "exp.")[name].data)
         # while the task head did move
@@ -446,6 +448,69 @@ class TestInference:
         assert res.rationale_mask.shape == res.scores.shape == (len(doc),)
         assert not res.rationale_mask[span_len:].any() and not res.scores[span_len:].any()
         assert all(e <= span_len for _, e in res.spans)
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("head", ["token", "span"])
+    def test_training_step_is_f32_outside_the_loss_chain(self, dataset, monkeypatch, head):
+        steps = []
+        backward = Tape.backward
+
+        def recording_backward(tape, loss):
+            backward(tape, loss)
+            leaves = {id(q): q for n in tape.nodes for q in n.parents if q.requires_grad}
+            steps.append((list(tape.nodes), {q.grad.dtype for q in leaves.values()}))
+
+        monkeypatch.setattr(Tape, "backward", recording_backward)
+        model, _ = train_explainer(dataset.splits["train"][:4], dataset.splits["val"],
+                                   tiny_train_config(head=head, epochs=1), dataset.vocab, 2)
+        f32 = np.dtype(np.float32)
+        nodes, grad_dtypes = steps[0]
+        assert grad_dtypes == {f32}
+        assert {p.data.dtype for p in model.parameters().values()} == {f32}
+        wide = [n for n in nodes if n.data.dtype != f32]
+        # the loss chain: per-token loss vectors and scalars that meet the
+        # losses' f64 coefficients, ending in the f64 total
+        assert wide[-1] is nodes[-1] and nodes[-1].data.dtype == np.float64
+        for n in wide:
+            assert n.data.dtype == np.float64 and n.data.ndim <= 1, n.op
+            assert any(q.data.dtype == np.float64 for q in n.parents), n.op
+        for n in nodes:
+            if n.data.dtype == f32:
+                assert {q.data.dtype for q in n.parents} == {f32}, n.op
+
+    def test_saved_run_holds_f32_checkpoints_and_loads_f32_models(self, state, tmp_path):
+        st, dataset = state
+        save_run(tmp_path / "run", st)
+        for name in ("explainer.npz", "predictor.npz"):
+            _, _, arrays = load_checkpoint(tmp_path / "run" / name)
+            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+        again = load_run(tmp_path / "run")
+        assert again.explainer.dtype == again.predictor.dtype == np.float32
+        self._assert_same_results(again, st, dataset.splits["test"])
+
+    def test_f64_run_directory_loads_as_f64(self, tmp_path):
+        dataset = tiny_dataset(seed=3)
+        st = run_pipeline(dataset, tiny_train_config(epochs=1))
+        for model in (st.explainer, st.predictor):
+            model.load_state(state_as(model, np.float64))
+        save_run(tmp_path / "run", st)
+        for name in ("explainer.npz", "predictor.npz"):
+            _, _, arrays = load_checkpoint(tmp_path / "run" / name)
+            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+        again = load_run(tmp_path / "run")
+        assert again.explainer.dtype == again.predictor.dtype == np.float64
+        self._assert_same_results(again, st, dataset.splits["test"])
+
+    @staticmethod
+    def _assert_same_results(loaded, in_memory, instances):
+        for a, b in zip(infer_many(loaded, instances), infer_many(in_memory, instances)):
+            assert a.label == b.label and a.spans == b.spans
+            for field in ("probs", "rationale_mask", "scores"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+
 
 class TestFaithfulnessComposition:
     def test_batched_equals_per_instance_closures(self):

@@ -72,22 +72,21 @@ def _train_config(args) -> TrainConfig:
     return cfg.validate()
 
 
+# what a TrainConfig field does not say about its flag: a spelling other
+# than the field's name, a fixed value set, and a help string
+FLAG_NAMES = {"lam": "--lambda", "learning_rate": "--lr", "subtoken_mode": "--subtokens"}
+FLAG_CHOICES = {"head": ModelOptions.HEADS, "exp_weighting": WEIGHTING_MODES,
+                "subtoken_mode": SUBTOKEN_MODES}
+FLAG_HELP = {"lam": "explanation loss weight", "threshold": "hard-rationale score threshold"}
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="explanation loss weight")
-    p.add_argument("--head", choices=ModelOptions.HEADS, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None, help="hard-rationale score threshold")
-    p.add_argument("--exp-weighting", dest="exp_weighting", choices=WEIGHTING_MODES, default=None)
-    p.add_argument("--wildcard", default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--subtokens", dest="subtoken_mode", choices=SUBTOKEN_MODES, default=None)
-    for f in fields(ModelOptions):  # the sizes and dropout
-        if f.name != "head":
-            flag = "--" + f.name.replace("_", "-")
-            p.add_argument(flag, dest=f.name, type=FIELD_TYPES[f.type], default=None)
+    """One flag per TrainConfig field; an unset flag leaves the config
+    file's value or the field's default."""
+    for f in fields(TrainConfig):
+        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, type=FIELD_TYPES[f.type], default=None,
+                       choices=FLAG_CHOICES.get(f.name), help=FLAG_HELP.get(f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +228,21 @@ def cmd_eval(args) -> int:
 # sweep
 
 
-def _sweep_point(payload: dict) -> dict:
-    cfg, lam = payload["cfg"], payload["lam"]
-    cfg = replace(cfg, lam=lam, seed=cfg.seed + payload["index"]).validate()
-    run_dir = Path(payload["out"]) / f"lambda_{lam:g}"
+def _point_dir(out, lam: float) -> Path:
+    """The run directory of a sweep's point at ``lam``."""
+    return Path(out) / f"lambda_{lam:g}"
+
+
+def _sweep_point(cfg: TrainConfig, data, out, criterion: str, index: int, lam: float) -> dict:
+    """Train the ``index``-th grid point, ``lam``, with seed ``cfg.seed + index``
+    into its run directory under ``out``; its sweep.csv row."""
+    cfg = replace(cfg, lam=lam, seed=cfg.seed + index)
     try:
-        _, val_report, _ = _run_one(payload["data"], run_dir, cfg)
+        _, val_report, _ = _run_one(data, _point_dir(out, lam), cfg)
     except Exception as exc:  # failure of one point must not kill the sweep
         logger.exception("lambda=%g failed: %s", lam, exc)
         return {"lambda": lam, "error": str(exc)}
-    exp_metric = val_report.auprc if payload["criterion"] == "auprc" else val_report.token_f1
+    exp_metric = val_report.auprc if criterion == "auprc" else val_report.token_f1
     return {
         "lambda": lam,
         **{c: getattr(val_report, c) for c in REPORT_COLUMNS},
@@ -252,21 +256,18 @@ def cmd_sweep(args) -> int:
     if not grid:
         logger.error("empty lambda grid")
         return 1
+    out = Path(args.out)
+    taken = {}  # run directory -> the grid point that writes it
     for lam in grid:
         replace(cfg, lam=lam).validate()
-    out = Path(args.out)
+        run_dir = _point_dir(out, lam)
+        if run_dir in taken:
+            raise ValueError(
+                f"lambda {taken[run_dir]!r} and {lam!r} share the run directory {run_dir}"
+            )
+        taken[run_dir] = lam
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        {
-            "cfg": cfg,
-            "lam": lam,
-            "index": i,
-            "data": str(args.data),
-            "out": str(out),
-            "criterion": args.criterion,
-        }
-        for i, lam in enumerate(grid)
-    ]
+    point = partial(_sweep_point, cfg, args.data, out, args.criterion)
     if args.workers > 1:
         # the points fill every core: one BLAS thread per worker unless the user set a count
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -276,9 +277,9 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(
             args.workers, spawn, initializer=_configure_logging, initargs=(args.verbose,)
         ) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(point, range(len(grid)), grid))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = list(map(point, range(len(grid)), grid))
 
     csv_path = out / "sweep.csv"
     with csv_path.open("w", encoding="utf-8", newline="") as fh:
@@ -353,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--plot", action="store_true")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -264,7 +264,7 @@ class _EvalBatches:
         """Eval-mode class probabilities, one row per document."""
         probs = [model.predict_task(model.encode(b.ids, b.pad_mask)).data for b in self.batches]
         # the (0, classes) head shapes the answer for zero documents
-        return np.concatenate([np.empty((0, model.cfg.num_classes)), *probs])[self.back]
+        return np.concatenate([np.empty((0, model.cfg.num_classes), model.dtype), *probs])[self.back]
 
 
 def _epoch_batches(layouts: list[Layout], batch_size: int, rng: np.random.Generator) -> list[Batch]:
@@ -515,9 +515,9 @@ def faithfulness(state: PipelineState, instances, rationale_masks, p_only=None):
     p_stripped = _predict_masked(state, instances, [1 - m for m in masks])
     cls = p_full.argmax(axis=1)
     idx = np.arange(len(instances))
-    comp = p_full[idx, cls] - p_stripped[idx, cls]
-    suff = p_full[idx, cls] - p_only[idx, cls]
-    return comp, suff
+    # the differences, and the metrics averaged from them, are taken in f64 at any precision
+    full, stripped, only = (p[idx, cls].astype(np.float64) for p in (p_full, p_stripped, p_only))
+    return full - stripped, full - only
 
 
 def _prediction_record(state: PipelineState, res: InferResult) -> dict:

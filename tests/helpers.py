@@ -60,15 +60,15 @@ def state_as(model, dtype):
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def blas_env_point(payload: dict) -> dict:
+def blas_env_point(cfg, data, out, criterion, index, lam) -> dict:
     """A sweep point that trains nothing and reports, in its ``error``
     cell, the BLAS thread variables of the process it ran in. It lives in
     an importable module so that a spawned worker can unpickle it."""
-    return {"lambda": payload["lam"], "error": " ".join(str(os.getenv(v)) for v in BLAS_VARS)}
+    return {"lambda": lam, "error": " ".join(str(os.getenv(v)) for v in BLAS_VARS)}
 
 
-def logging_point(payload: dict) -> dict:
+def logging_point(cfg, data, out, criterion, index, lam) -> dict:
     """A sweep point that trains nothing and logs one INFO line through
     etp's logger, to show how the process it ran in logs."""
-    logging.getLogger("etp.cli").info("point lambda=%g ran", payload["lam"])
-    return {"lambda": payload["lam"], "error": "logged"}
+    logging.getLogger("etp.cli").info("point lambda=%g ran", lam)
+    return {"lambda": lam, "error": "logged"}

@@ -145,27 +145,19 @@ class TestTrain:
         for row in rows:
             assert float(row["l_loss"]) == float(row["l_task"])
 
-    def test_same_seed_identical_metrics_json(self, tmp_path, data_dir):
+    def test_same_seed_identical_run_directories(self, tmp_path, data_dir):
+        # every file: checkpoints, predictions, metrics, CSVs and configs
         cfg = write_cfg(tmp_path / "cfg.txt")
-        payloads = []
-        for sub in ("r1", "r2"):
-            out = tmp_path / sub
-            rc = cli.main(
-                [
-                    "train",
-                    "--data",
-                    str(data_dir),
-                    "--out",
-                    str(out),
-                    "--config",
-                    str(cfg),
-                    "--seed",
-                    "9",
-                ]
-            )
-            assert rc == 0
-            payloads.append((out / "metrics.json").read_bytes())
-        assert payloads[0] == payloads[1]
+        for head in ("token", "span"):
+            runs = []
+            for sub in ("r1", "r2"):
+                out = tmp_path / head / sub
+                rc = cli.main(["train", "--data", str(data_dir), "--out", str(out),
+                               "--config", str(cfg), "--seed", "9", "--head", head])
+                assert rc == 0
+                runs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+            assert len(runs[0]) == 12, head
+            assert runs[0] == runs[1], head
 
     def test_span_head_produces_complete_report(self, tmp_path, data_dir):
         cfg = write_cfg(tmp_path / "cfg.txt", epochs="1")
@@ -733,11 +725,20 @@ class TestSweep:
         assert not sweep_out.exists()
         assert "dropout must be in [0, 1)" in caplog.text
 
+    @pytest.mark.parametrize("grid", ["1,1.0000001", "1,1"])
+    def test_points_sharing_a_run_directory_are_refused(self, tmp_path, data_dir, caplog, grid):
+        # lambda_{:g} keeps six significant digits: both points would write lambda_1
+        cfg = write_cfg(tmp_path / "cfg.txt", epochs="1")
+        sweep_out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--data", str(data_dir), "--out", str(sweep_out),
+                       "--grid", grid, "--config", str(cfg)])
+        assert rc == 1
+        assert not sweep_out.exists()
+        assert f"share the run directory {sweep_out / 'lambda_1'}" in caplog.text
+
     def test_failed_point_logs_its_traceback(self, tmp_path, caplog):
-        payload = {"cfg": TrainConfig(), "lam": 1.0, "index": 0, "out": str(tmp_path),
-                   "data": str(tmp_path / "missing"), "criterion": "token_f1"}
         with caplog.at_level(logging.ERROR, logger="etp.cli"):
-            row = cli._sweep_point(payload)
+            row = cli._sweep_point(TrainConfig(), tmp_path / "missing", tmp_path, "token_f1", 0, 1.0)
         assert row["lambda"] == 1.0 and row["error"]
         (record,) = [r for r in caplog.records if r.name == "etp.cli"]
         assert record.exc_info is not None
@@ -781,6 +782,20 @@ class TestParser:
         ]
         actions = {a.dest: a for a in subparsers.choices[command]._actions}
         assert {f.name for f in fields(TrainConfig)} <= set(actions)
+        # the spellings the README, the acceptance suite and users' scripts rely on
+        flags = {
+            "lam": "--lambda", "head": "--head", "epochs": "--epochs", "patience": "--patience",
+            "batch_size": "--batch-size", "learning_rate": "--lr", "seed": "--seed",
+            "wildcard": "--wildcard", "threshold": "--threshold",
+            "exp_weighting": "--exp-weighting", "max_len": "--max-len",
+            "subtoken_mode": "--subtokens", "embed_dim": "--embed-dim",
+            "enc_hidden": "--enc-hidden", "enc_layers": "--enc-layers",
+            "task_hidden": "--task-hidden", "token_gru_hidden": "--token-gru-hidden",
+            "span_hidden": "--span-hidden", "dropout": "--dropout",
+        }
+        for dest, flag in flags.items():
+            assert actions[dest].option_strings == [flag], dest
+            assert actions[dest].default is None, dest
         assert actions["head"].choices == ModelOptions.HEADS
         assert actions["exp_weighting"].choices == WEIGHTING_MODES
         assert actions["subtoken_mode"].choices == SUBTOKEN_MODES

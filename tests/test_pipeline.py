@@ -504,12 +504,17 @@ class TestPrecision:
 
     @staticmethod
     def _assert_same_results(loaded, in_memory, instances):
-        for a, b in zip(infer_many(loaded, instances), infer_many(in_memory, instances)):
+        results = infer_many(loaded, instances)
+        for a, b in zip(results, infer_many(in_memory, instances)):
+            assert a.probs.dtype == loaded.predictor.dtype
             assert a.label == b.label and a.spans == b.spans
             for field in ("probs", "rationale_mask", "scores"):
                 x, y = getattr(a, field), getattr(b, field)
                 assert x.dtype == y.dtype
                 np.testing.assert_array_equal(x, y)
+        # the faithfulness differences stay f64 at either precision
+        comp, suff = faithfulness(loaded, instances, [r.rationale_mask for r in results])
+        assert comp.dtype == suff.dtype == np.float64
 
 
 class TestFaithfulnessComposition:

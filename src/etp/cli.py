@@ -256,6 +256,9 @@ def cmd_sweep(args) -> int:
     if not grid:
         logger.error("empty lambda grid")
         return 1
+    if args.workers < 1:
+        logger.error("--workers must be at least 1, got %d", args.workers)
+        return 1
     out = Path(args.out)
     taken = {}  # run directory -> the grid point that writes it
     for lam in grid:
@@ -299,31 +302,7 @@ def cmd_sweep(args) -> int:
         encoding="utf-8",
     )
     logger.info("selected lambda=%g (criterion %.4f)", best["lambda"], best["criterion"])
-    if args.plot:
-        _plot_sweep(scored, out / "sweep.svg")
     return 0
-
-
-def _plot_sweep(rows: list[dict], path: Path) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        logger.error("--plot needs matplotlib (pip install etp[plot])")
-        raise SystemExit(1)
-    lams = [r["lambda"] for r in rows]
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for key in ("macro_f1", "token_f1", "criterion"):
-        ax.plot(lams, [r[key] for r in rows], marker="o", label=key)
-    ax.set_xscale("log")
-    ax.set_xlabel("lambda")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, format="svg")
-    plt.close(fig)
-    logger.info("wrote %s", path)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0.1,1,10,100", help="comma-separated lambda values")
     p.add_argument("--criterion", choices=["token_f1", "auprc"], default="token_f1")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--plot", action="store_true")
     p.add_argument("--config", default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)

@@ -19,6 +19,7 @@ import csv
 import json
 import logging
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -267,10 +268,13 @@ class _EvalBatches:
         return np.concatenate([np.empty((0, model.cfg.num_classes), model.dtype), *probs])[self.back]
 
 
-def _epoch_batches(layouts: list[Layout], batch_size: int, rng: np.random.Generator) -> list[Batch]:
+def _epoch_batches(
+    layouts: list[Layout], batch_size: int, rng: np.random.Generator
+) -> Iterator[Batch]:
     """One epoch's training batches: the seeded permutation, stably sorted
     by length inside windows of BUCKET_BATCHES batches, cut into batches
-    that are then shuffled with the same generator."""
+    that are then shuffled with the same generator. Both permutations are
+    drawn here; each batch is packed only when the caller reaches it."""
     lengths = np.array([len(lay) for lay in layouts])
     order = rng.permutation(len(layouts))
     window = BUCKET_BATCHES * batch_size
@@ -278,9 +282,9 @@ def _epoch_batches(layouts: list[Layout], batch_size: int, rng: np.random.Genera
         part = order[lo : lo + window]
         order[lo : lo + window] = part[np.argsort(lengths[part], kind="stable")]
     cuts = [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
-    return [
+    return (
         pack([layouts[i] for i in cuts[c]], batch_size)[0] for c in rng.permutation(len(cuts))
-    ]
+    )
 
 
 def _validation_scores(model, val: _EvalBatches, num_classes, stage: int):
@@ -313,6 +317,31 @@ def _stage_inputs(train, val, vocab: Vocabulary, cfg: TrainConfig, stage: int):
     return lay_out(train, vocab, cfg.max_len, cfg.subtoken_mode), _EvalBatches(val, vocab, cfg)
 
 
+def _train_step(model, batch: Batch, opt: Adam, cfg: TrainConfig, stage: int, dropout_rng):
+    """One optimizer step on ``batch``: its (task, explanation, total)
+    loss values, or None on a non-finite loss or gradient. The tape and
+    every tensor of the step's graph are locals here, so the graph is
+    freed when the step returns, before the next step's forward."""
+    with Tape() as tape:
+        enc = model.encode(batch.ids, batch.pad_mask)
+        probs = model.predict_task(enc, train=True, dropout_rng=dropout_rng)
+        l_task = losses.task_loss(probs, batch.labels)
+        if stage == 1:
+            bd = losses.combined_loss(l_task, _exp_loss(model, enc, batch, cfg), cfg.lam)
+            values, total = bd.values(), bd.total
+        else:
+            values, total = (l_task.item(), 0.0, l_task.item()), l_task
+        if not np.isfinite(values).all():
+            return None
+        tape.backward(total)
+    try:
+        opt.step()
+    except OptimizerError:
+        return None
+    opt.zero_grad()
+    return values
+
+
 def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig, num_classes,
                 stage: int):
     """Shared epoch loop; stage 1 optimizes the combined loss and stops
@@ -333,25 +362,10 @@ def _train_loop(model, train: list[Layout], val: _EvalBatches, cfg: TrainConfig,
         real = cells = 0.0
         diverged = False
         for batch in _epoch_batches(train, cfg.batch_size, shuffle_rng):
-            with Tape() as tape:
-                enc = model.encode(batch.ids, batch.pad_mask)
-                probs = model.predict_task(enc, train=True, dropout_rng=dropout_rng)
-                l_task = losses.task_loss(probs, batch.labels)
-                if stage == 1:
-                    bd = losses.combined_loss(l_task, _exp_loss(model, enc, batch, cfg), cfg.lam)
-                    values, total = bd.values(), bd.total
-                else:
-                    values, total = (l_task.item(), 0.0, l_task.item()), l_task
-                if not np.isfinite(values).all():
-                    diverged = True
-                    break
-                tape.backward(total)
-            try:
-                opt.step()
-            except OptimizerError:
+            values = _train_step(model, batch, opt, cfg, stage, dropout_rng)
+            if values is None:
                 diverged = True
                 break
-            opt.zero_grad()
             sums += np.array(values) * batch.size
             count += batch.size
             real += batch.pad_mask.sum()

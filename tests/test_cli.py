@@ -725,6 +725,22 @@ class TestSweep:
         assert not sweep_out.exists()
         assert "dropout must be in [0, 1)" in caplog.text
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_refused(self, tmp_path, data_dir, caplog, workers):
+        sweep_out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--data", str(data_dir), "--out", str(sweep_out),
+                       "--workers", workers])
+        assert rc == 1
+        assert not sweep_out.exists()
+        assert f"--workers must be at least 1, got {workers}" in caplog.text
+
+    def test_plot_is_an_unknown_option(self, tmp_path, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--data", str(data_dir), "--out", str(tmp_path / "sweep"),
+                      "--plot"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["1,1.0000001", "1,1"])
     def test_points_sharing_a_run_directory_are_refused(self, tmp_path, data_dir, caplog, grid):
         # lambda_{:g} keeps six significant digits: both points would write lambda_1

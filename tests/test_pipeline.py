@@ -3,6 +3,7 @@ inference composition, and determinism."""
 
 import dataclasses
 import logging
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -361,6 +362,35 @@ class TestTrainPredictor:
         # embedding, one BiGRU layer (2 affine, 2 gru_run, concat), pooling, the task
         # head's dropout and two affine layers, softmax and the task loss
         assert nodes == [20]
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("head", ["token", "span"])
+    def test_step_graph_is_freed_before_the_next_step_opens_its_tape(self, monkeypatch, head):
+        stage = [1]
+        held = []  # weak references to the arrays of the last step's graph
+        checked = []  # (stage, arrays checked) at each tape that opens
+        backward, enter, train_predictor = Tape.backward, Tape.__enter__, pipeline.train_predictor
+
+        def recording_backward(tape, loss):
+            backward(tape, loss)
+            held[:] = [weakref.ref(node.data) for node in tape.nodes]
+
+        def checking_enter(tape):
+            alive = sum(ref() is not None for ref in held)
+            assert alive == 0, f"{alive} of {len(held)} arrays of the last step's graph live on"
+            checked.append((stage[0], len(held)))
+            return enter(tape)
+
+        def stage_two(*args):
+            stage[0] = 2
+            return train_predictor(*args)
+
+        monkeypatch.setattr(Tape, "backward", recording_backward)
+        monkeypatch.setattr(Tape, "__enter__", checking_enter)
+        monkeypatch.setattr(pipeline, "train_predictor", stage_two)
+        run_pipeline(tiny_dataset(), tiny_train_config(head=head))
+        assert {s for s, n in checked if n} == {1, 2}
 
 
 @pytest.fixture(scope="module")
